@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke experiments
+.PHONY: verify fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments
 
-verify: fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke
+verify: fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
 	@echo "verify: all gates passed"
 
 fmt:
@@ -82,6 +82,12 @@ obs-smoke:
 # the Prometheus exposition (strictly validated) carries the new families.
 flight-smoke:
 	$(CARGO) run --release -p pim-serve --bin flight_smoke
+
+# The end-to-end benchmark (perfbench/) is a package with its own
+# workspace that depends on the crates here by path: build it and run its
+# self-tests so an API change cannot break it unnoticed.
+perfbench-check:
+	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -7,6 +7,10 @@
 //! invalidation protocol is needed, entries are immutable, and a hit is
 //! guaranteed to be byte-identical to what a fresh lowering would produce
 //! (the determinism tests enforce this end to end).
+//!
+//! The cache is bounded: past [`SCHEDULE_CACHE_BUDGET`] entries the least
+//! recently used one is dropped. Eviction only decides *when* a schedule is
+//! lowered again, never what it contains, so reports are unaffected.
 
 use pim_device::schedule::Schedule;
 use pim_device::{PimError, StreamPimConfig};
@@ -15,12 +19,54 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// Schedules the cache keeps before evicting the least recently used.
+/// Unbounded, a 17k-job serving run with fresh shapes held 1,653
+/// schedules in 12.3 MiB (about 7.6 KiB each); 512 entries cap that near
+/// 4 MiB while every shape a workload keeps reusing stays resident.
+pub const SCHEDULE_CACHE_BUDGET: usize = 512;
+
 /// Thread-safe cache of lowered schedules, shared across jobs and workers.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    entries: Mutex<HashMap<u64, Arc<Schedule>>>,
+    entries: Mutex<Lru>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// The resident schedules, each stamped with the tick of its last use.
+#[derive(Debug, Default)]
+struct Lru {
+    map: HashMap<u64, (Arc<Schedule>, u64)>,
+    tick: u64,
+}
+
+impl Lru {
+    /// The schedule for `key`, refreshed as most recently used.
+    fn get(&mut self, key: u64) -> Option<Arc<Schedule>> {
+        self.tick += 1;
+        let (schedule, used) = self.map.get_mut(&key)?;
+        *used = self.tick;
+        Some(Arc::clone(schedule))
+    }
+
+    /// Inserts `schedule` unless `key` is already resident (the first
+    /// insert wins), evicting the least recently used entry when full.
+    /// Returns the resident schedule.
+    fn insert(&mut self, key: u64, schedule: Arc<Schedule>) -> Arc<Schedule> {
+        if let Some(resident) = self.get(key) {
+            return resident;
+        }
+        if self.map.len() >= SCHEDULE_CACHE_BUDGET {
+            // A linear scan: it runs once per miss, next to a lowering that
+            // costs far more.
+            let oldest = self.map.iter().min_by_key(|(_, (_, used))| *used);
+            if let Some(&oldest) = oldest.map(|(key, _)| key) {
+                self.map.remove(&oldest);
+            }
+        }
+        self.map.insert(key, (Arc::clone(&schedule), self.tick));
+        schedule
+    }
 }
 
 impl ScheduleCache {
@@ -59,7 +105,8 @@ impl ScheduleCache {
     }
 
     /// Returns the schedule for `key`, lowering it with `lower` on a miss.
-    /// The second component reports whether this call was a hit.
+    /// The second component reports whether this call was a hit. A hit
+    /// refreshes the entry as most recently used.
     ///
     /// Lowering runs outside the lock so a slow lowering never serializes
     /// unrelated lookups; if two workers race on the same key, both lower
@@ -73,20 +120,23 @@ impl ScheduleCache {
     where
         F: FnOnce() -> Result<Schedule, PimError>,
     {
-        if let Some(found) = self.entries.lock().expect("cache lock").get(&key) {
+        if let Some(found) = self.entries.lock().expect("cache lock").get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(found), true));
+            return Ok((found, true));
         }
         let lowered = Arc::new(lower()?);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().expect("cache lock");
-        let entry = entries.entry(key).or_insert_with(|| Arc::clone(&lowered));
+        let entry = self
+            .entries
+            .lock()
+            .expect("cache lock")
+            .insert(key, Arc::clone(&lowered));
         debug_assert_eq!(
             entry.fingerprint(),
             lowered.fingerprint(),
             "deterministic lowering: racing lowerings must agree"
         );
-        Ok((Arc::clone(entry), false))
+        Ok((entry, false))
     }
 
     /// Cache hits so far.
@@ -99,9 +149,10 @@ impl ScheduleCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct schedules resident.
+    /// Number of distinct schedules resident (at most
+    /// [`SCHEDULE_CACHE_BUDGET`]).
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("cache lock").len()
+        self.entries.lock().expect("cache lock").map.len()
     }
 
     /// Whether the cache holds no schedules.
@@ -111,7 +162,7 @@ impl ScheduleCache {
 
     /// Drops all entries (counters are preserved).
     pub fn clear(&self) {
-        self.entries.lock().expect("cache lock").clear();
+        self.entries.lock().expect("cache lock").map.clear();
     }
 }
 
@@ -237,6 +288,36 @@ mod tests {
         let spec = WorkloadSpec::polybench(Kernel::Mvt, 0.02);
         cache.get_or_lower(7, || lower(&spec, &cfg)).unwrap();
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn hot_keys_survive_eviction_and_len_stays_within_budget() {
+        let cache = ScheduleCache::new();
+        let cfg = StreamPimConfig::paper_default();
+        let spec = WorkloadSpec::MatMul { m: 4, k: 4, n: 4 };
+        let schedule = lower(&spec, &cfg).unwrap();
+        const HOT: u64 = u64::MAX;
+        cache.get_or_lower(HOT, || Ok(schedule.clone())).unwrap();
+        for key in 0..(2 * SCHEDULE_CACHE_BUDGET as u64 + 3) {
+            let (_, hit) = cache.get_or_lower(key, || Ok(schedule.clone())).unwrap();
+            assert!(!hit, "every cold key misses");
+            assert!(cache.len() <= SCHEDULE_CACHE_BUDGET);
+            // Touching the hot key between inserts keeps it the most
+            // recently used, so it is never the one evicted.
+            let (_, hit) = cache
+                .get_or_lower(HOT, || panic!("hot key was evicted"))
+                .unwrap();
+            assert!(hit);
+        }
+        assert_eq!(cache.len(), SCHEDULE_CACHE_BUDGET);
+        // The oldest cold keys were evicted; the newest are still resident.
+        let (_, hit) = cache.get_or_lower(0, || Ok(schedule.clone())).unwrap();
+        assert!(!hit, "least recently used key was evicted");
+        let newest = 2 * SCHEDULE_CACHE_BUDGET as u64 + 2;
+        let (_, hit) = cache
+            .get_or_lower(newest, || panic!("newest key was evicted"))
+            .unwrap();
+        assert!(hit);
     }
 
     #[test]

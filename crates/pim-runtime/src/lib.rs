@@ -42,11 +42,14 @@ pub mod job;
 pub mod metrics;
 pub mod runtime;
 
-pub use cache::ScheduleCache;
+pub use cache::{ScheduleCache, SCHEDULE_CACHE_BUDGET};
 pub use job::Job;
+pub use metrics::{
+    quantize_ns_to_ps, quantize_pj_to_fj, JobMetrics, MetricsRegistry, MetricsSnapshot,
+    TenantMetrics, JOB_ROW_BUDGET,
+};
 // Serving edges and tools accept cluster specs inside `Job` JSON; re-export
 // the spec types so they don't need a direct pim-cluster dependency.
-pub use metrics::{JobMetrics, MetricsRegistry, MetricsSnapshot, TenantMetrics};
 pub use pim_cluster::{ClusterSpec, PartitionStrategy};
 pub use runtime::{
     intra_worker_budget, BatchResult, CacheDisposition, JobInstruments, JobOutcome, Runtime,

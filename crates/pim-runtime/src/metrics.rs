@@ -9,10 +9,41 @@
 //!   wall-clock observations of the runtime itself and vary run to run.
 //!   They are kept out of [`crate::JobOutcome`] precisely so job results
 //!   stay byte-identical across schedules and worker counts.
+//!
+//! The registry's memory is bounded: totals and per-tenant rollups are
+//! folded as each job is recorded, and only the most recent
+//! [`JOB_ROW_BUDGET`] per-job rows are kept.
 
 use pim_device::ExecReport;
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
+
+/// Per-job rows the registry keeps: a window of the most recent jobs.
+/// Every total and tenant rollup covers all jobs regardless. Unbounded,
+/// the rows of a 17k-job serving run took about 5.7 MiB (of 18 MiB of
+/// runtime state; cached schedules were the rest), and every
+/// `GET /v1/metrics` scrape cloned and serialized each row into a 4.4 MB
+/// body; with 256 rows the body is about 74 KB however long the server
+/// runs.
+pub const JOB_ROW_BUDGET: usize = 256;
+
+/// Simulated nanoseconds → integer picoseconds, rounded once per job.
+///
+/// f64 sums depend on the order of their terms, and jobs finish in any
+/// order; integer sums do not. Quantizing each job once and summing
+/// integers makes totals exact under any completion order. This is the
+/// one definition of the rounding: the registry's totals and the serving
+/// ledger's meter both use it, so the two agree bit for bit.
+pub fn quantize_ns_to_ps(ns: f64) -> u64 {
+    (ns * 1e3).round() as u64
+}
+
+/// Simulated picojoules → integer femtojoules, rounded once per job (see
+/// [`quantize_ns_to_ps`]).
+pub fn quantize_pj_to_fj(pj: f64) -> u64 {
+    (pj * 1e3).round() as u64
+}
 
 /// Metrics for one completed (or failed) job.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,11 +126,19 @@ pub struct MetricsSnapshot {
     pub latency_histogram: Vec<u64>,
     /// Simulated totals summed over all successful jobs.
     pub aggregate: ExecReport,
-    /// Per-tenant rollups, sorted by tenant name. Derived from the per-job
-    /// rows at snapshot time so consumers (the `/metrics` endpoint, the
-    /// metering reconciliation) never re-derive them.
+    /// Simulated time over all successful jobs, in picoseconds, each job
+    /// quantized once with [`quantize_ns_to_ps`]. Exact under any
+    /// completion order, so the serving ledger reconciles against it.
+    pub sim_time_ps: u64,
+    /// Simulated energy over all successful jobs, in femtojoules, each job
+    /// quantized once with [`quantize_pj_to_fj`].
+    pub sim_energy_fj: u64,
+    /// Per-tenant rollups over every job, sorted by tenant name. Folded as
+    /// each job is recorded, so they cover jobs whose rows have left the
+    /// window below.
     pub tenants: Vec<TenantMetrics>,
-    /// Per-job rows, ordered by batch submission index.
+    /// The most recent [`JOB_ROW_BUDGET`] per-job rows, ordered by batch
+    /// submission index (rows of equal index stay in completion order).
     pub jobs: Vec<JobMetrics>,
 }
 
@@ -128,32 +167,22 @@ pub struct TenantMetrics {
     pub sim_energy_pj: f64,
 }
 
-/// Folds per-job rows (already sorted by index) into per-tenant rollups,
-/// sorted by tenant name. Deterministic: both orders are total.
-fn tenant_rollup(jobs: &[JobMetrics]) -> Vec<TenantMetrics> {
-    let mut by_tenant: std::collections::BTreeMap<&str, TenantMetrics> =
-        std::collections::BTreeMap::new();
-    for job in jobs {
-        let entry = by_tenant
-            .entry(job.tenant.as_str())
-            .or_insert_with(|| TenantMetrics {
-                tenant: job.tenant.clone(),
-                ..TenantMetrics::default()
-            });
-        entry.jobs_submitted += 1;
+impl TenantMetrics {
+    /// Folds one recorded job into the rollup.
+    fn absorb(&mut self, job: &JobMetrics) {
+        self.jobs_submitted += 1;
         if job.ok {
-            entry.jobs_completed += 1;
+            self.jobs_completed += 1;
         } else {
-            entry.jobs_failed += 1;
+            self.jobs_failed += 1;
         }
-        entry.cache_hits += u64::from(job.cache_hit);
-        entry.cache_misses += u64::from(job.cache_miss);
-        entry.steals += u64::from(job.stolen);
-        entry.total_latency_ns += job.latency_ns;
-        entry.sim_time_ns += job.sim_time_ns;
-        entry.sim_energy_pj += job.sim_energy_pj;
+        self.cache_hits += u64::from(job.cache_hit);
+        self.cache_misses += u64::from(job.cache_miss);
+        self.steals += u64::from(job.stolen);
+        self.total_latency_ns += job.latency_ns;
+        self.sim_time_ns += job.sim_time_ns;
+        self.sim_energy_pj += job.sim_energy_pj;
     }
-    by_tenant.into_values().collect()
 }
 
 /// The histogram scheme lives in `pim_obs::hist` (it started here and
@@ -167,7 +196,18 @@ use pim_obs::hist::{bucket_of as latency_bucket, percentile, BUCKETS as LATENCY_
 /// Thread-safe collector the runtime records into.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<MetricsSnapshot>,
+    inner: Mutex<Inner>,
+}
+
+/// The registry's state: running totals plus the bounded row window.
+#[derive(Debug, Default)]
+struct Inner {
+    /// Running totals; its `tenants` and `jobs` stay empty (held below).
+    totals: MetricsSnapshot,
+    /// Per-tenant rollups, folded at record time.
+    tenants: BTreeMap<String, TenantMetrics>,
+    /// The most recent [`JOB_ROW_BUDGET`] rows, oldest first.
+    rows: VecDeque<JobMetrics>,
 }
 
 impl MetricsRegistry {
@@ -179,55 +219,76 @@ impl MetricsRegistry {
     /// Records one finished job. `report` is `None` for failed jobs.
     pub fn record_job(&self, mut metrics: JobMetrics, report: Option<&ExecReport>) {
         let mut inner = self.inner.lock().expect("metrics lock");
-        inner.jobs_submitted += 1;
+        let Inner {
+            totals,
+            tenants,
+            rows,
+        } = &mut *inner;
+        totals.jobs_submitted += 1;
         match report {
             Some(r) => {
-                inner.jobs_completed += 1;
+                totals.jobs_completed += 1;
                 metrics.ok = true;
                 metrics.sim_time_ns = r.total_ns();
                 metrics.sim_energy_pj = r.total_pj();
-                inner.aggregate.absorb(r);
+                totals.sim_time_ps += quantize_ns_to_ps(metrics.sim_time_ns);
+                totals.sim_energy_fj += quantize_pj_to_fj(metrics.sim_energy_pj);
+                totals.aggregate.absorb(r);
             }
             None => {
-                inner.jobs_failed += 1;
+                totals.jobs_failed += 1;
                 metrics.ok = false;
             }
         }
-        inner.max_queue_depth = inner.max_queue_depth.max(metrics.queue_depth);
-        inner.total_latency_ns += metrics.latency_ns;
-        if inner.latency_histogram.len() < LATENCY_BUCKETS {
-            inner.latency_histogram.resize(LATENCY_BUCKETS, 0);
+        totals.max_queue_depth = totals.max_queue_depth.max(metrics.queue_depth);
+        totals.total_latency_ns += metrics.latency_ns;
+        if totals.latency_histogram.len() < LATENCY_BUCKETS {
+            totals.latency_histogram.resize(LATENCY_BUCKETS, 0);
         }
-        inner.latency_histogram[latency_bucket(metrics.latency_ns)] += 1;
-        inner.jobs.push(metrics);
+        totals.latency_histogram[latency_bucket(metrics.latency_ns)] += 1;
+        tenants
+            .entry(metrics.tenant.clone())
+            .or_insert_with(|| TenantMetrics {
+                tenant: metrics.tenant.clone(),
+                ..TenantMetrics::default()
+            })
+            .absorb(&metrics);
+        if rows.len() == JOB_ROW_BUDGET {
+            rows.pop_front();
+        }
+        rows.push_back(metrics);
     }
 
     /// Folds one batch's executor steal count into the totals.
     pub fn record_steals(&self, steals: u64) {
-        self.inner.lock().expect("metrics lock").steals += steals;
+        self.inner.lock().expect("metrics lock").totals.steals += steals;
     }
 
     /// Records one cache near hit and the rows it had to price fresh.
     pub fn record_near_hit(&self, repriced_rows: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        inner.cache_near_hits += 1;
-        inner.cache_repriced_rows += repriced_rows;
+        let totals = &mut self.inner.lock().expect("metrics lock").totals;
+        totals.cache_near_hits += 1;
+        totals.cache_repriced_rows += repriced_rows;
     }
 
     /// Updates the cache statistics (overwrites; the cache owns the truth).
     pub fn record_cache(&self, hits: u64, misses: u64, entries: usize) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        inner.cache_hits = hits;
-        inner.cache_misses = misses;
-        inner.cache_entries = entries as u64;
+        let totals = &mut self.inner.lock().expect("metrics lock").totals;
+        totals.cache_hits = hits;
+        totals.cache_misses = misses;
+        totals.cache_entries = entries as u64;
     }
 
-    /// A copy of the current state, with per-job rows sorted by batch
-    /// index (completion order is nondeterministic; the export is not).
+    /// A copy of the current state, with the retained per-job rows sorted
+    /// by batch index (completion order is nondeterministic; the export is
+    /// not).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.inner.lock().expect("metrics lock").clone();
+        let inner = self.inner.lock().expect("metrics lock");
+        let mut snap = inner.totals.clone();
+        snap.tenants = inner.tenants.values().cloned().collect();
+        snap.jobs = inner.rows.iter().cloned().collect();
+        drop(inner);
         snap.jobs.sort_by_key(|j| j.index);
-        snap.tenants = tenant_rollup(&snap.jobs);
         snap.latency_p50_ns = percentile(&snap.latency_histogram, 0.50);
         snap.latency_p95_ns = percentile(&snap.latency_histogram, 0.95);
         snap.latency_p99_ns = percentile(&snap.latency_histogram, 0.99);
@@ -399,6 +460,62 @@ mod tests {
         registry.record_job(metrics(0, u64::MAX, 0), Some(&ExecReport::new()));
         let p50 = registry.snapshot().latency_p50_ns;
         assert!((1u64 << 63..u64::MAX).contains(&p50));
+    }
+
+    #[test]
+    fn rollups_and_integer_totals_cover_jobs_past_the_row_window() {
+        let registry = MetricsRegistry::new();
+        let tenants = ["alice", "bob", "carol"];
+        let mut recorded = Vec::new();
+        for i in 0..(2 * JOB_ROW_BUDGET + 37) {
+            let mut row = metrics(i, 100 + i as u64, i % 5);
+            row.tenant = tenants[i % tenants.len()].to_string();
+            row.cache_hit = i % 4 == 0;
+            row.cache_miss = i % 4 == 1;
+            row.stolen = i % 7 == 0;
+            // Every ninth job fails; the rest carry awkward float totals so
+            // a per-job rounding difference would show in the sums.
+            let report = (i % 9 != 0).then(|| {
+                let mut r = ExecReport::new();
+                r.time.process_ns = 0.1 + i as f64 * 1.337;
+                r.energy.compute_pj = 0.7 + i as f64 * 2.0001;
+                r
+            });
+            registry.record_job(row.clone(), report.as_ref());
+            recorded.push((row, report));
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.jobs.len(), JOB_ROW_BUDGET, "rows stay at the budget");
+        let newest: Vec<usize> = snap.jobs.iter().map(|j| j.index).collect();
+        let want: Vec<usize> = (recorded.len() - JOB_ROW_BUDGET..recorded.len()).collect();
+        assert_eq!(newest, want, "the window keeps the most recent rows");
+
+        // An independent fold over every recorded job.
+        let mut full: BTreeMap<String, TenantMetrics> = BTreeMap::new();
+        let (mut time_ps, mut energy_fj) = (0u64, 0u64);
+        for (row, report) in &recorded {
+            let t = full.entry(row.tenant.clone()).or_default();
+            t.tenant = row.tenant.clone();
+            t.jobs_submitted += 1;
+            t.cache_hits += u64::from(row.cache_hit);
+            t.cache_misses += u64::from(row.cache_miss);
+            t.steals += u64::from(row.stolen);
+            t.total_latency_ns += row.latency_ns;
+            match report {
+                Some(r) => {
+                    t.jobs_completed += 1;
+                    t.sim_time_ns += r.total_ns();
+                    t.sim_energy_pj += r.total_pj();
+                    time_ps += (r.total_ns() * 1e3).round() as u64;
+                    energy_fj += (r.total_pj() * 1e3).round() as u64;
+                }
+                None => t.jobs_failed += 1,
+            }
+        }
+        let full: Vec<TenantMetrics> = full.into_values().collect();
+        assert_eq!(snap.tenants, full);
+        assert_eq!((snap.sim_time_ps, snap.sim_energy_fj), (time_ps, energy_fj));
+        assert_eq!(snap.jobs_submitted, recorded.len() as u64);
     }
 
     #[test]

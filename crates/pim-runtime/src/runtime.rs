@@ -1105,8 +1105,11 @@ mod tests {
 
     #[test]
     fn metrics_reflect_the_batch() {
+        // One worker: two workers can probe the identical job pair at the
+        // same time and both miss (a benign re-lowering), which would make
+        // the exact hit count below nondeterministic.
         let runtime = Runtime::new(RuntimeConfig {
-            workers: 2,
+            workers: 1,
             cache_enabled: true,
             ..RuntimeConfig::default()
         });

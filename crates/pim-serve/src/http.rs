@@ -219,6 +219,7 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             409 => "Conflict",
+            410 => "Gone",
             413 => "Payload Too Large",
             429 => "Too Many Requests",
             503 => "Service Unavailable",

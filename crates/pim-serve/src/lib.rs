@@ -51,6 +51,11 @@
 //! | `GET /v1/tenants/{t}/usage`    | One tenant's metered totals          |
 //! | `GET /v1/healthz`              | Phase and queue depths               |
 //! | `POST /v1/admin/drain`         | Graceful drain; returns final state  |
+//!
+//! Serving state is bounded: the job table keeps the last
+//! [`TERMINAL_JOB_BUDGET`] finished jobs, and the job routes answer
+//! `410 Gone` for an id whose record was evicted (`404` for an id never
+//! issued).
 
 pub mod admission;
 pub mod api;
@@ -70,4 +75,4 @@ pub use meter::{
     MeterRecord, MeterState, TenantUsage, TIER_TABLE,
 };
 pub use queue::TenantQueues;
-pub use server::{call, ServeConfig, Server, ThreadPlan};
+pub use server::{call, ServeConfig, Server, ThreadPlan, TERMINAL_JOB_BUDGET};

@@ -16,15 +16,22 @@
 //! ([`pim_runtime::MetricsSnapshot`]). Operation counts are `u64` and
 //! compare exactly. Time and energy are `f64` in the run report, and f64
 //! sums are order-dependent — so the ledger meters them as **integers**,
-//! quantized once per job (picoseconds / femtojoules, rounded). Integer
+//! quantized once per job (picoseconds / femtojoules, rounded, with the
+//! runtime's own [`quantize_ns_to_ps`] / [`quantize_pj_to_fj`]). Integer
 //! addition commutes, which makes the per-tenant ↔ global reconciliation
 //! exact no matter which order jobs complete in. The raw per-job floats are
-//! kept alongside and reconciled bit-for-bit (`to_bits`) against the
-//! runtime's per-job rows, so no precision is lost to the quantization —
-//! it exists only to make *sums* order-independent.
+//! kept alongside in each meter record, so no precision is lost to the
+//! quantization — it exists only to make *sums* order-independent.
+//!
+//! ## Bounded records
+//!
+//! Totals are folded at settle and cancel time, so a job's record is not
+//! needed for any total afterwards. The server drops it with
+//! [`Ledger::evict`] when it evicts the job's own record; pending records
+//! are never evicted.
 
 use pim_device::ExecReport;
-use pim_runtime::MetricsSnapshot;
+use pim_runtime::{quantize_ns_to_ps, quantize_pj_to_fj, MetricsSnapshot};
 use pim_workloads::WorkloadSpec;
 use rm_core::OpCounters;
 use serde::{Deserialize, Serialize};
@@ -127,16 +134,6 @@ impl Consumption {
         self.time_ps += other.time_ps;
         self.energy_fj += other.energy_fj;
     }
-}
-
-/// Simulated nanoseconds → metered picoseconds.
-pub fn quantize_ns_to_ps(ns: f64) -> u64 {
-    (ns * 1e3).round() as u64
-}
-
-/// Simulated picojoules → metered femtojoules.
-pub fn quantize_pj_to_fj(pj: f64) -> u64 {
-    (pj * 1e3).round() as u64
 }
 
 /// Lifecycle of one job's meter record.
@@ -375,6 +372,26 @@ impl Ledger {
         (time_units + energy_units).max(self.config.base_rate_microcredits)
     }
 
+    /// Drops a settled or cancelled job's record; the totals already hold
+    /// its consumption. Returns whether a record was dropped. Pending
+    /// records stay: their job has not finished.
+    pub fn evict(&self, job_id: u64) -> bool {
+        let mut inner = self.inner.lock().expect("ledger lock");
+        match inner.records.get(&job_id) {
+            Some(record) if record.state != MeterState::Pending => {
+                inner.records.remove(&job_id);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Meter records currently held: pending jobs plus finished ones not
+    /// yet evicted.
+    pub fn resident_records(&self) -> usize {
+        self.inner.lock().expect("ledger lock").records.len()
+    }
+
     /// The meter record of one job.
     pub fn record(&self, job_id: u64) -> Option<MeterRecord> {
         self.inner
@@ -412,8 +429,9 @@ impl Ledger {
     /// 2. the ledger's global operation counters equal the runtime's
     ///    aggregate [`OpCounters`] exactly (both are `u64` sums of the
     ///    same per-job values);
-    /// 3. the ledger's global metered time/energy equal the sum of the
-    ///    runtime's per-job rows, re-quantized with the same per-job
+    /// 3. the ledger's global metered time/energy equal the runtime's
+    ///    integer totals ([`MetricsSnapshot::sim_time_ps`] and
+    ///    [`MetricsSnapshot::sim_energy_fj`]), which use the same per-job
     ///    rounding.
     ///
     /// Holds under cancellation (cancelled jobs never reach the runtime
@@ -471,22 +489,16 @@ impl Ledger {
                 global.consumed.ops, snapshot.aggregate.counters
             ));
         }
-        let mut runtime_time_ps = 0u64;
-        let mut runtime_energy_fj = 0u64;
-        for job in snapshot.jobs.iter().filter(|j| j.ok) {
-            runtime_time_ps += quantize_ns_to_ps(job.sim_time_ns);
-            runtime_energy_fj += quantize_pj_to_fj(job.sim_energy_pj);
-        }
-        if global.consumed.time_ps != runtime_time_ps {
+        if global.consumed.time_ps != snapshot.sim_time_ps {
             return Err(format!(
                 "ledger time {} ps != runtime {} ps",
-                global.consumed.time_ps, runtime_time_ps
+                global.consumed.time_ps, snapshot.sim_time_ps
             ));
         }
-        if global.consumed.energy_fj != runtime_energy_fj {
+        if global.consumed.energy_fj != snapshot.sim_energy_fj {
             return Err(format!(
                 "ledger energy {} fj != runtime {} fj",
-                global.consumed.energy_fj, runtime_energy_fj
+                global.consumed.energy_fj, snapshot.sim_energy_fj
             ));
         }
         Ok(())
@@ -598,6 +610,24 @@ mod tests {
         ledger.admit(2, "alice", "", &spec);
         ledger.settle(2, Some(&report(10.0, 10.0)));
         assert!(!ledger.cancel(2));
+    }
+
+    #[test]
+    fn evict_drops_finished_records_and_keeps_totals() {
+        let ledger = Ledger::new(MeterConfig::default());
+        let spec = WorkloadSpec::polybench(Kernel::Gemm, 0.02);
+        for id in 1..=3 {
+            ledger.admit(id, "alice", "", &spec);
+        }
+        ledger.settle(1, Some(&report(10.0, 10.0)));
+        assert!(ledger.cancel(2));
+        let before = ledger.summary();
+        assert!(!ledger.evict(3), "pending records stay");
+        assert!(ledger.evict(1) && ledger.evict(2));
+        assert!(!ledger.evict(1), "already gone");
+        assert_eq!(ledger.resident_records(), 1);
+        assert!(ledger.record(1).is_none());
+        assert_eq!(ledger.summary(), before, "totals are untouched");
     }
 
     #[test]

@@ -43,7 +43,7 @@ use pim_obs::{
 use pim_runtime::{intra_worker_budget, Job, JobInstruments, Runtime, RuntimeConfig};
 use pim_trace::{NullSink, Span, TraceSink, Track, ATTR_REQUEST_ID};
 use rm_core::WearTracker;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,6 +62,19 @@ const DEBUG_RECENT_LIMIT: usize = 32;
 
 /// Top-K nanowire rows in the `GET /v1/device/health` heatmap.
 const HEALTH_TOP_WIRES: usize = 16;
+
+/// Finished job records (completed, failed, cancelled) the job table keeps;
+/// past it the oldest is evicted, and its id answers 410 Gone. Queued and
+/// running jobs are bounded by the admission caps instead. A completed
+/// record holds its report JSON, 474 B on average in the serving
+/// benchmark, so the budget keeps well under 1 MiB of reports; unbounded,
+/// a 17k-job run kept every one.
+pub const TERMINAL_JOB_BUDGET: usize = 1024;
+
+/// How long the acceptor pauses after an accept error that is not about
+/// one connection (out of descriptors, `EMFILE`/`ENFILE`), and between
+/// shutdown's wake-up connect attempts.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -188,8 +201,30 @@ struct JobRecord {
 struct CoreState {
     phase: Phase,
     queues: TenantQueues,
+    /// Every queued and running job, plus the finished ones in `finished`.
     jobs: HashMap<u64, JobRecord>,
+    /// Ids of retained finished jobs, oldest first, at most
+    /// [`TERMINAL_JOB_BUDGET`].
+    finished: VecDeque<u64>,
     next_id: u64,
+}
+
+impl CoreState {
+    /// The response for an id with no record: 410 Gone if the id was
+    /// issued and its finished record since evicted, 404 if it never was.
+    fn missing(&self, job_id: u64) -> Response {
+        if (1..self.next_id).contains(&job_id) {
+            Response::error(
+                410,
+                &format!(
+                    "job {job_id} finished and its record was evicted \
+                     (the last {TERMINAL_JOB_BUDGET} finished jobs are kept)"
+                ),
+            )
+        } else {
+            Response::error(404, &format!("no such job {job_id}"))
+        }
+    }
 }
 
 /// Monotone traffic counters (lock-free; read by `/v1/metrics`).
@@ -301,6 +336,7 @@ impl Core {
                 phase: Phase::Accepting,
                 queues,
                 jobs: HashMap::new(),
+                finished: VecDeque::new(),
                 next_id: 1,
             }),
             work: Condvar::new(),
@@ -319,6 +355,18 @@ impl Core {
     /// Nanoseconds since server start.
     fn host_ns(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// Retains a job that just reached a terminal state, evicting the
+    /// oldest finished job (and its meter record) past the budget. The
+    /// job's meter record must already be settled or cancelled.
+    fn retire(&self, state: &mut CoreState, job_id: u64) {
+        state.finished.push_back(job_id);
+        while state.finished.len() > TERMINAL_JOB_BUDGET {
+            let oldest = state.finished.pop_front().expect("over budget");
+            state.jobs.remove(&oldest);
+            self.ledger.evict(oldest);
+        }
     }
 
     /// One dispatcher thread: fair-pick a job, run it through the runtime,
@@ -420,22 +468,26 @@ impl Core {
                 .map(|r| FaultTally::from_counters(&r.counters))
                 .unwrap_or_default();
             let error = outcome.report.as_ref().err().cloned();
+            // Serialized before taking the core lock, which every HTTP
+            // worker contends for.
+            let report_json = outcome
+                .report
+                .as_ref()
+                .ok()
+                .map(|report| serde_json::to_string(report).expect("report serializes"));
 
             let mut state = self.state.lock().expect("core lock");
             state.queues.finish(&tenant);
             let record = state.jobs.get_mut(&job_id).expect("running job recorded");
             record.finished_ns = Some(self.host_ns());
-            match outcome.report {
-                Ok(report) => {
-                    record.state = JobState::Completed;
-                    record.report_json =
-                        Some(serde_json::to_string(&report).expect("report serializes"));
-                }
-                Err(message) => {
-                    record.state = JobState::Failed;
-                    record.error = Some(message);
-                }
-            }
+            record.state = if ok {
+                JobState::Completed
+            } else {
+                JobState::Failed
+            };
+            record.report_json = report_json;
+            record.error = error.clone();
+            self.retire(&mut state, job_id);
             drop(state);
             // A tenant slot freed: other dispatchers may now be eligible.
             self.work.notify_all();
@@ -626,7 +678,7 @@ impl Core {
     fn status(&self, job_id: u64) -> Response {
         let state = self.state.lock().expect("core lock");
         let Some(record) = state.jobs.get(&job_id) else {
-            return Response::error(404, &format!("no such job {job_id}"));
+            return state.missing(job_id);
         };
         let body = StatusResponse {
             id: record.id,
@@ -651,7 +703,7 @@ impl Core {
     fn result(&self, job_id: u64) -> Response {
         let state = self.state.lock().expect("core lock");
         let Some(record) = state.jobs.get(&job_id) else {
-            return Response::error(404, &format!("no such job {job_id}"));
+            return state.missing(job_id);
         };
         if !record.state.is_terminal() {
             return Response::error(
@@ -689,7 +741,7 @@ impl Core {
     fn cancel(&self, job_id: u64) -> Response {
         let mut state = self.state.lock().expect("core lock");
         let Some(record) = state.jobs.get(&job_id) else {
-            return Response::error(404, &format!("no such job {job_id}"));
+            return state.missing(job_id);
         };
         let tenant = record.tenant.clone();
         let request_id = record.request_id.clone();
@@ -706,6 +758,10 @@ impl Core {
                 record.state = JobState::Cancelled;
                 let cancelled_ns = self.host_ns();
                 record.finished_ns = Some(cancelled_ns);
+                // Refund before retiring: only finished meter records may
+                // be evicted with their job.
+                assert!(self.ledger.cancel(job_id), "queued job's meter is pending");
+                self.retire(&mut state, job_id);
                 drop(state);
                 // Cancellations are always tail-sampled: the record shows
                 // how long the request sat queued before it was abandoned.
@@ -725,7 +781,6 @@ impl Core {
                     },
                     None,
                 );
-                assert!(self.ledger.cancel(job_id), "queued job's meter is pending");
                 self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
                 let id_str = job_id.to_string();
                 self.obs.events.emit(
@@ -801,13 +856,14 @@ impl Core {
     }
 
     /// Samples the point-in-time gauges that have no event to hook:
-    /// queue depths, trace-sink loss, SLO attainment, and event-log
-    /// suppression. Called on every `/metrics.prom` scrape so the
-    /// exposition is current without a background sampler thread.
+    /// queue depths, retention-budget fill, trace-sink loss, SLO
+    /// attainment, and event-log suppression. Called on every
+    /// `/metrics.prom` scrape so the exposition is current without a
+    /// background sampler thread.
     fn sample_gauges(&self) {
-        let depths = {
+        let (depths, finished) = {
             let state = self.state.lock().expect("core lock");
-            state.queues.depths()
+            (state.queues.depths(), state.finished.len())
         };
         for (tenant, queued, in_flight) in &depths {
             self.obs
@@ -828,6 +884,33 @@ impl Core {
                 .set(*in_flight as i64);
         }
         let runtime = self.runtime.metrics();
+        for (name, help, resident) in [
+            (
+                "pim_serve_finished_jobs",
+                "Finished job records (completed, failed, cancelled) the job table retains; the oldest is evicted past the budget.",
+                finished,
+            ),
+            (
+                "pim_serve_ledger_records",
+                "Meter records the ledger holds: pending jobs plus finished jobs still retained.",
+                self.ledger.resident_records(),
+            ),
+            (
+                "pim_runtime_job_rows",
+                "Per-job rows the runtime metrics registry retains (a window of the most recent jobs).",
+                runtime.jobs.len(),
+            ),
+            (
+                "pim_runtime_cache_entries",
+                "Lowered schedules resident in the schedule cache; the least recently used is evicted past the budget.",
+                runtime.cache_entries as usize,
+            ),
+        ] {
+            self.obs
+                .registry
+                .gauge(name, help, &[])
+                .set(resident as i64);
+        }
         self.obs
             .registry
             .gauge(
@@ -1167,41 +1250,75 @@ impl Core {
             .write_to(&mut stream);
     }
 
-    /// The acceptor: hand connections to the worker channel, shedding at
-    /// the door with a 429 when the channel is full.
+    /// The acceptor: blocks in `accept` and hands each connection to the
+    /// worker channel, shedding at the door with a 429 when the channel is
+    /// full. An accept error never ends the loop; only `stop` does.
     fn accept_loop(&self, listener: TcpListener, tx: SyncSender<TcpStream>) {
-        while !self.stop.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    if let Err(TrySendError::Full(mut stream)) = tx.try_send(stream) {
-                        self.counters
-                            .shed_connections
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.admission_outcome("shed_connection");
-                        let backlog = {
-                            let state = self.state.lock().expect("core lock");
-                            state.queues.queued() + state.queues.in_flight()
-                        };
-                        // Shed before the request was read: no id minted.
-                        let _ = self
-                            .reject(
-                                Rejection::GlobalOverload {
-                                    depth: self.config.connection_backlog,
-                                },
-                                backlog,
-                                "",
-                            )
-                            .write_to(&mut stream);
-                    }
-                }
-                Err(ref error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => break,
+        loop {
+            let accepted = listener.accept();
+            if self.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            match accepted {
+                Ok((stream, _)) => self.hand_off(&tx, stream),
+                Err(error) => self.accept_failed(&error),
             }
         }
         // Dropping `tx` closes the channel; workers exit once it drains.
+    }
+
+    /// Queues an accepted connection for the HTTP workers, or sheds it
+    /// with a 429 when the channel is full.
+    fn hand_off(&self, tx: &SyncSender<TcpStream>, stream: TcpStream) {
+        if let Err(TrySendError::Full(mut stream)) = tx.try_send(stream) {
+            self.counters
+                .shed_connections
+                .fetch_add(1, Ordering::Relaxed);
+            self.admission_outcome("shed_connection");
+            let backlog = {
+                let state = self.state.lock().expect("core lock");
+                state.queues.queued() + state.queues.in_flight()
+            };
+            // Shed before the request was read: no id minted.
+            let _ = self
+                .reject(
+                    Rejection::GlobalOverload {
+                        depth: self.config.connection_backlog,
+                    },
+                    backlog,
+                    "",
+                )
+                .write_to(&mut stream);
+        }
+    }
+
+    /// Counts and reports one accept error. A failure of one connection
+    /// (the peer aborted or reset it before `accept`) is retried at once;
+    /// anything else, such as running out of descriptors (`EMFILE`,
+    /// `ENFILE`), would fail again immediately, so the acceptor pauses
+    /// briefly instead of spinning.
+    fn accept_failed(&self, error: &io::Error) {
+        self.obs
+            .registry
+            .counter(
+                "pim_serve_accept_errors_total",
+                "Errors returned by accept() on the listening socket (the acceptor keeps running).",
+                &[],
+            )
+            .inc();
+        self.obs.events.emit(
+            Level::Warn,
+            "accept",
+            "",
+            &format!("accept failed: {error}"),
+            &[],
+        );
+        if !matches!(
+            error.kind(),
+            io::ErrorKind::ConnectionAborted | io::ErrorKind::ConnectionReset
+        ) {
+            std::thread::sleep(ACCEPT_BACKOFF);
+        }
     }
 }
 
@@ -1216,6 +1333,8 @@ impl Core {
 pub struct Server {
     core: Arc<Core>,
     addr: SocketAddr,
+    acceptor: JoinHandle<()>,
+    /// HTTP workers and dispatchers.
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -1229,7 +1348,6 @@ impl Server {
     /// [`Track::Service`] lanes into `sink`.
     pub fn start_with_sink(config: ServeConfig, sink: Arc<dyn TraceSink>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let backlog = config.connection_backlog.max(1);
         let http_workers = config.http_workers.max(1);
@@ -1238,16 +1356,13 @@ impl Server {
 
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(backlog);
         let rx = Arc::new(Mutex::new(rx));
-        let mut threads = Vec::new();
-
-        {
+        let acceptor = {
             let core = Arc::clone(&core);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-accept".to_string())
-                    .spawn(move || core.accept_loop(listener, tx))?,
-            );
-        }
+            std::thread::Builder::new()
+                .name("serve-accept".to_string())
+                .spawn(move || core.accept_loop(listener, tx))?
+        };
+        let mut threads = Vec::new();
         for worker in 0..http_workers {
             let core = Arc::clone(&core);
             let rx = Arc::clone(&rx);
@@ -1275,6 +1390,7 @@ impl Server {
         Ok(Server {
             core,
             addr,
+            acceptor,
             threads,
         })
     }
@@ -1306,12 +1422,18 @@ impl Server {
 
     /// Graceful full stop: drain, stop the acceptor, join every thread.
     /// Returns the final drained state.
-    pub fn shutdown(mut self) -> DrainResponse {
+    pub fn shutdown(self) -> DrainResponse {
         let drained = self.core.drain();
         self.core.stop.store(true, Ordering::Relaxed);
-        // Nudge the accept loop in case it is between polls.
-        let _ = TcpStream::connect(self.addr);
-        for thread in self.threads.drain(..) {
+        // The acceptor is blocked in `accept`: a connection wakes it to see
+        // `stop`. The connect itself can fail (out of descriptors, say), so
+        // retry until one lands or the acceptor is gone, or the joins below
+        // could wait forever.
+        while !self.acceptor.is_finished() && TcpStream::connect(self.addr).is_err() {
+            std::thread::sleep(ACCEPT_BACKOFF);
+        }
+        let _ = self.acceptor.join();
+        for thread in self.threads {
             let _ = thread.join();
         }
         drained

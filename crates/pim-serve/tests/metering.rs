@@ -4,8 +4,8 @@
 //! cancellations, and drain.
 
 use pim_baselines::PlatformKind;
-use pim_runtime::{Job, Runtime, RuntimeConfig};
-use pim_serve::meter::{quantize_ns_to_ps, quantize_pj_to_fj, tier_for, Ledger, MeterConfig};
+use pim_runtime::{quantize_ns_to_ps, quantize_pj_to_fj, Job, Runtime, RuntimeConfig};
+use pim_serve::meter::{tier_for, Ledger, MeterConfig};
 use pim_serve::{api::SubmitRequest, call, AdmissionConfig, ServeConfig, Server};
 use pim_workloads::{Kernel, WorkloadSpec};
 use proptest::prelude::*;

@@ -208,6 +208,8 @@ const METRICS_SCHEMA_GOLDEN: &[&str] = &[
     "runtime.aggregate.counters.gate_ops: int",
     "runtime.aggregate.vpc.pim: int",
     "runtime.aggregate.vpc.moves: int",
+    "runtime.sim_time_ps: int",
+    "runtime.sim_energy_fj: int",
     "runtime.tenants[].tenant: str",
     "runtime.tenants[].jobs_submitted: int",
     "runtime.tenants[].jobs_completed: int",
