@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments
+.PHONY: verify fmt lint doc build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments
 
-verify: fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
+verify: fmt lint doc build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
 	@echo "verify: all gates passed"
 
 fmt:
@@ -13,6 +13,11 @@ fmt:
 
 lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# API docs must build without warnings: a doc link to a renamed or
+# deleted item fails the build instead of rotting silently.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
 build:
 	$(CARGO) build --release --workspace

@@ -79,7 +79,8 @@ struct WideResult {
 /// row from scratch (the pre-cache submission path); `repriced_ns` lowers
 /// the shape-only task and replays already-priced rows through a warmed
 /// [`pim_device::PriceTable`] (the runtime's near-miss path). `ratio` is
-/// `repriced_ns / cold_ns` — the acceptance gate wants it under 0.5.
+/// `repriced_ns / cold_ns`; it is recorded, not gated (`--compare` checks
+/// only the kernel and parallel speedups).
 #[derive(Debug, Serialize, Deserialize)]
 struct RepriceResult {
     shapes: usize,

@@ -126,7 +126,7 @@ fn run(args: &[String]) -> ExitCode {
         }
     };
     let probe = AttributionProbe::new();
-    let report = match p.run_with_schedule_profiled(&workload, None, &probe) {
+    let report = match p.run_instrumented(&workload, None, &pim_trace::NullSink, &probe) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pricing {} on {platform} failed: {e}", workload.name);

@@ -3,18 +3,18 @@
 //!
 //! Two engines contribute to the same trace: the operational
 //! [`EventEngine`] (one span per scheduled command on subarray /
-//! transfer-lane / decoder tracks) and the analytic [`Engine`] (per-round
-//! phase spans). The overlap comparison prices the *same* schedule with
-//! optimizations off and on — the span-level view of Figure 22's
-//! mechanism.
+//! transfer-lane / decoder tracks) and the analytic engine behind
+//! [`StreamPim::execute_instrumented`] (per-round phase spans). The
+//! overlap comparison prices the *same* schedule with optimizations off
+//! and on — the span-level view of Figure 22's mechanism.
 
 use crate::figures::Scale;
-use pim_device::engine::Engine;
 use pim_device::engine_event::EventEngine;
-use pim_device::{OptLevel, StreamPim, StreamPimConfig};
+use pim_device::{OptLevel, PimError, StreamPim, StreamPimConfig};
 use pim_trace::analyze::Analysis;
 use pim_trace::{chrome, Collector};
 use pim_workloads::polybench::Kernel;
+use rm_core::NullProbe;
 
 /// Everything the `trace` experiment produces.
 #[derive(Debug, Clone)]
@@ -46,21 +46,22 @@ pub fn trace_kernel(kernel: Kernel, scale: Scale) -> Result<TraceRun, Box<dyn st
         .lower(&device)?;
 
     let sink = Collector::new();
-    EventEngine::new(&cfg).run_traced(&schedule, &sink);
-    Engine::new(&cfg).run_traced(&schedule, &sink);
+    EventEngine::new(&cfg).run_instrumented(&schedule, &sink, &NullProbe);
+    device.execute_instrumented(&schedule, &sink, &NullProbe, None);
 
-    let overlap = |opt: OptLevel| {
+    let overlap = |opt: OptLevel| -> Result<f64, PimError> {
         let c = Collector::new();
-        Engine::new(&cfg.clone().with_opt(opt)).run_traced(&schedule, &c);
-        Analysis::of(&c.spans()).overlap_fraction
+        StreamPim::new(cfg.clone().with_opt(opt))?
+            .execute_instrumented(&schedule, &c, &NullProbe, None);
+        Ok(Analysis::of(&c.spans()).overlap_fraction)
     };
 
     let spans = sink.spans();
     Ok(TraceRun {
         json: chrome::to_chrome_json(&spans, &sink.events()),
         report: Analysis::of(&spans).to_string(),
-        overlap_base: overlap(OptLevel::Base),
-        overlap_unblock: overlap(OptLevel::Unblock),
+        overlap_base: overlap(OptLevel::Base)?,
+        overlap_unblock: overlap(OptLevel::Unblock)?,
         spans: spans.len(),
     })
 }

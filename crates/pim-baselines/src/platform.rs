@@ -256,53 +256,25 @@ impl Platform {
         workload: &Workload,
         schedule: Option<&Schedule>,
     ) -> Result<ExecReport, PimError> {
-        self.run_with_schedule_traced(workload, schedule, &NullSink)
+        self.run_instrumented(workload, schedule, &NullSink, &rm_core::NullProbe)
     }
 
-    /// Like [`Platform::run_with_schedule`], but emits spans describing the
-    /// execution timeline into `sink`. StreamPIM platforms emit the analytic
-    /// engine's per-round phase spans; every other platform emits a single
-    /// span covering its closed-form total (those models have no internal
-    /// timeline to expose). The returned report is identical to the
-    /// untraced path for any sink.
+    /// [`Platform::run_with_schedule`] with tracing and profiling attached.
     ///
-    /// # Errors
+    /// Spans: StreamPIM platforms emit the analytic engine's per-round
+    /// phase spans; every other platform emits a single span covering its
+    /// closed-form total (those models have no internal timeline).
     ///
-    /// Same as [`Platform::run_with_schedule`].
-    pub fn run_with_schedule_traced(
-        &self,
-        workload: &Workload,
-        schedule: Option<&Schedule>,
-        sink: &dyn TraceSink,
-    ) -> Result<ExecReport, PimError> {
-        self.run_instrumented(workload, schedule, sink, &rm_core::NullProbe)
-    }
-
-    /// Like [`Platform::run_with_schedule`], but records per-component
-    /// attribution on `probe`. StreamPIM platforms emit the engine's
-    /// component paths (`bus/lane[k]`, `device/subarray[s]`,
-    /// `device/controller`); the closed-form hosts record one sample at
-    /// `host/cpu` / `host/gpu`; the idealized PIM baselines split theirs
-    /// across `device/<platform>` (compute), `bus/internal` (operand and
-    /// result placement traffic) and `device/peripherals` (static power).
-    /// Recorded energy and counters sum exactly to the returned report's
-    /// totals; the report itself is identical to the unprofiled path.
+    /// Attribution: StreamPIM platforms emit the engine's component paths
+    /// (`bus/lane[k]`, `device/subarray[s]`, `device/controller`); the
+    /// closed-form hosts record one sample at `host/cpu` / `host/gpu`; the
+    /// idealized PIM baselines split theirs across `device/<platform>`
+    /// (compute), `bus/internal` (operand and result placement traffic)
+    /// and `device/peripherals` (static power). Recorded energy and
+    /// counters sum exactly to the returned report's totals.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Platform::run_with_schedule`].
-    pub fn run_with_schedule_profiled(
-        &self,
-        workload: &Workload,
-        schedule: Option<&Schedule>,
-        probe: &dyn rm_core::Probe,
-    ) -> Result<ExecReport, PimError> {
-        self.run_instrumented(workload, schedule, &NullSink, probe)
-    }
-
-    /// Tracing and profiling in one pass (see
-    /// [`Platform::run_with_schedule_traced`] and
-    /// [`Platform::run_with_schedule_profiled`]).
+    /// The report is identical to the uninstrumented path for any sink and
+    /// probe.
     ///
     /// # Errors
     ///
@@ -314,18 +286,16 @@ impl Platform {
         sink: &dyn TraceSink,
         probe: &dyn rm_core::Probe,
     ) -> Result<ExecReport, PimError> {
-        let mut report = match &self.inner {
+        let report = match &self.inner {
             Inner::Cpu(m) => {
                 let r = m.run_profile(&workload.profile);
-                emit_platform_span(sink, self.name(), workload, &r);
                 record_report_sample(probe, "host/cpu", &r);
-                return Ok(r);
+                r
             }
             Inner::Gpu(m) => {
                 let r = m.run_profile(&workload.profile);
-                emit_platform_span(sink, self.name(), workload, &r);
                 record_report_sample(probe, "host/gpu", &r);
-                return Ok(r);
+                r
             }
             Inner::StreamPim(device) => {
                 let lowered;
@@ -339,90 +309,81 @@ impl Platform {
                         &lowered
                     }
                 };
-                device.execute_instrumented(s, sink, probe)
+                let mut report = device.execute_instrumented(s, sink, probe, None);
+                add_pim_static_power(&mut report, probe);
+                return Ok(report);
             }
             Inner::Coruscant(m) => {
-                let lowered;
-                let s = match schedule {
-                    Some(s) => s,
-                    None => {
-                        lowered = workload.task.lower(&reference_device()?)?;
-                        &lowered
-                    }
-                };
-                let mut r = m.run_schedule(s);
-                record_report_sample(probe, "device/coruscant", &r);
-                add_baseline_movement(&mut r, s, probe);
-                r
+                self.run_pim_baseline(workload, schedule, probe, |s| m.run_schedule(s))?
             }
             Inner::BitSerial(m) => {
-                let lowered;
-                let s = match schedule {
-                    Some(s) => s,
-                    None => {
-                        lowered = workload.task.lower(&reference_device()?)?;
-                        &lowered
-                    }
-                };
-                let mut r = m.run_schedule(s);
-                let path = match self.kind {
-                    PlatformKind::Felix => "device/felix",
-                    _ => "device/elp2im",
-                };
-                record_report_sample(probe, path, &r);
-                add_baseline_movement(&mut r, s, probe);
-                r
+                self.run_pim_baseline(workload, schedule, probe, |s| m.run_schedule(s))?
             }
         };
-        add_pim_static_power(&mut report, probe);
-        if !matches!(&self.inner, Inner::StreamPim(_)) {
-            // The idealized PIM baselines are closed-form too: one span.
-            emit_platform_span(sink, self.name(), workload, &report);
-        }
+        // The closed-form models have no internal timeline: one span.
+        emit_platform_span(sink, self.name(), workload, &report);
         Ok(report)
     }
 
+    /// The idealized PIM baselines (CORUSCANT, ELP2IM, FELIX): `model`
+    /// prices the reference lowering, then the placement traffic and static
+    /// power are charged on top.
+    fn run_pim_baseline(
+        &self,
+        workload: &Workload,
+        schedule: Option<&Schedule>,
+        probe: &dyn rm_core::Probe,
+        model: impl Fn(&Schedule) -> ExecReport,
+    ) -> Result<ExecReport, PimError> {
+        let lowered;
+        let s = match schedule {
+            Some(s) => s,
+            None => {
+                lowered = workload.task.lower(&reference_device()?)?;
+                &lowered
+            }
+        };
+        let mut r = model(s);
+        if probe.enabled() {
+            let path = format!("device/{}", self.name().to_lowercase());
+            record_report_sample(probe, &path, &r);
+        }
+        add_baseline_movement(&mut r, s, probe);
+        add_pim_static_power(&mut r, probe);
+        Ok(r)
+    }
+
     /// Prices a pre-lowered `schedule` on the embedded StreamPIM device
-    /// through a [`PriceTable`] memo (see
-    /// [`pim_device::StreamPim::execute_repriced`]), applying the same
-    /// static-power post-processing as [`Platform::run_with_schedule`] so
-    /// the returned report is byte-identical to it at any table state.
-    /// Returns the report plus the number of rows priced fresh this run,
-    /// or `None` for platforms without an embedded StreamPIM device
-    /// (hosts and the closed-form PIM baselines), which must take the
-    /// workload-carrying path instead.
+    /// through a [`PriceTable`] memo, with tracing and profiling attached
+    /// (see [`pim_device::StreamPim::execute_instrumented`]), applying the
+    /// same static-power post-processing as [`Platform::run_instrumented`].
+    /// Report, spans and probe samples (including the static-power
+    /// `device/peripherals` sample) are byte-identical to a cold
+    /// instrumented run at any table state — this is what lets the serving
+    /// flight recorder observe every request on the memoized fast path.
+    /// The rows priced fresh this run are the table's
+    /// [`PriceTable::misses`] delta.
+    ///
+    /// Takes no [`Workload`], so callers holding a cached schedule never
+    /// materialize one. Returns `None` for platforms without an embedded
+    /// StreamPIM device (hosts and the closed-form PIM baselines), which
+    /// must take [`Platform::run_instrumented`] instead.
     ///
     /// The table must only ever be fed by this platform's configuration —
     /// callers key tables by [`Platform::lowering_config`].
-    pub fn run_schedule_repriced(
-        &self,
-        schedule: &Schedule,
-        table: &mut PriceTable,
-    ) -> Option<(ExecReport, u64)> {
-        self.run_schedule_repriced_instrumented(schedule, table, &NullSink, &rm_core::NullProbe)
-    }
-
-    /// [`Platform::run_schedule_repriced`] with tracing and profiling
-    /// attached. The engine's re-pricing contract extends to instruments:
-    /// report, spans and probe samples (including the static-power
-    /// `device/peripherals` sample added here) are byte-identical to a
-    /// cold instrumented run at any table state — this is what lets the
-    /// serving flight recorder observe every request on the memoized fast
-    /// path.
     pub fn run_schedule_repriced_instrumented(
         &self,
         schedule: &Schedule,
         table: &mut PriceTable,
         sink: &dyn TraceSink,
         probe: &dyn rm_core::Probe,
-    ) -> Option<(ExecReport, u64)> {
+    ) -> Option<ExecReport> {
         let Inner::StreamPim(device) = &self.inner else {
             return None;
         };
-        let (mut report, fresh) =
-            device.execute_repriced_instrumented(schedule, sink, probe, table);
+        let mut report = device.execute_instrumented(schedule, sink, probe, Some(table));
         add_pim_static_power(&mut report, probe);
-        Some((report, fresh))
+        Some(report)
     }
 }
 
@@ -614,7 +575,9 @@ mod tests {
         for kind in PlatformKind::FIGURE_17 {
             let p = Platform::new(kind).unwrap();
             let sink = pim_trace::Collector::new();
-            let traced = p.run_with_schedule_traced(&w, None, &sink).unwrap();
+            let traced = p
+                .run_instrumented(&w, None, &sink, &rm_core::NullProbe)
+                .unwrap();
             let plain = p.run(&w).unwrap();
             assert_eq!(traced, plain, "{kind}: tracing must not change pricing");
             assert!(sink.span_count() > 0, "{kind}: no spans recorded");
@@ -643,7 +606,7 @@ mod tests {
         for kind in PlatformKind::FIGURE_17 {
             let p = Platform::new(kind).unwrap();
             let probe = SumProbe::default();
-            let profiled = p.run_with_schedule_profiled(&w, None, &probe).unwrap();
+            let profiled = p.run_instrumented(&w, None, &NullSink, &probe).unwrap();
             let plain = p.run(&w).unwrap();
             assert_eq!(profiled, plain, "{kind}: profiling must not change pricing");
             let (ops, energy) = *probe.0.lock().unwrap();

@@ -255,7 +255,7 @@ impl Cluster {
     ) -> Result<ClusterReport> {
         let device = StreamPim::new(self.config.device.clone())?;
         let schedule = workload.shape_task().lower(&device)?;
-        let mut report = device.execute_instrumented(&schedule, sink, probe);
+        let mut report = device.execute_instrumented(&schedule, sink, probe, None);
         add_pim_static_power(&mut report, probe);
         if batch > 1 {
             let residual = scale_report(&report, u64::from(batch) - 1);
@@ -460,7 +460,7 @@ impl Cluster {
                 &pim_trace::NullSink
             };
             let lane_probe: &dyn Probe = if probed { &buffer } else { &rm_core::NullProbe };
-            let report = device.execute_instrumented(&schedule, lane_sink, lane_probe);
+            let report = device.execute_instrumented(&schedule, lane_sink, lane_probe, None);
             Ok(LaneOutput {
                 report,
                 spans: collector.spans(),

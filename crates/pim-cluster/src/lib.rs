@@ -1,10 +1,11 @@
 //! Multi-device scale-out: clusters of StreamPIM devices in a rank/channel
 //! topology with a priced inter-device interconnect.
 //!
-//! A [`Cluster`] holds N identical simulated [`StreamPim`] devices arranged
-//! as memory channels hosting ranks ([`ClusterTopology`]): channels are
-//! independent links to the host controller, devices on the same channel
-//! share its bus. Workloads are split across devices by the partitioners in
+//! A [`Cluster`] holds N identical simulated
+//! [`StreamPim`](pim_device::StreamPim) devices arranged as memory channels
+//! hosting ranks ([`ClusterTopology`]): channels are independent links to
+//! the host controller, devices on the same channel share its bus.
+//! Workloads are split across devices by the partitioners in
 //! [`partition`]:
 //!
 //! * **data-parallel** — every matmul's output rows are sharded
@@ -24,11 +25,11 @@
 //!
 //! **Determinism contract.** Device lanes execute on scoped OS threads via
 //! [`rm_core::shard::map_sharded`] — one lane per simulated device, clamped
-//! by the cluster's [`Parallelism`] — and all reports, probe records and
-//! trace spans are reduced in fixed device order on the coordinating
-//! thread. Results are byte-identical at any worker count, and a
-//! single-device cluster (`n = 1`, batch 1) routes through exactly the
-//! single-device code path, so its report is byte-identical to
+//! by the cluster's [`Parallelism`](pim_device::Parallelism) — and all
+//! reports, probe records and trace spans are reduced in fixed device order
+//! on the coordinating thread. Results are byte-identical at any worker
+//! count, and a single-device cluster (`n = 1`, batch 1) routes through
+//! exactly the single-device code path, so its report is byte-identical to
 //! [`Platform::run`](pim_baselines::Platform) on the same configuration.
 
 pub mod cluster;

@@ -1,6 +1,6 @@
 //! StreamPIM device configuration and entry points.
 
-use crate::engine::{Engine, EngineParams};
+use crate::engine::{Engine, EngineParams, PriceTable};
 use crate::placement::PlacementKind;
 use crate::report::ExecReport;
 use crate::schedule::Schedule;
@@ -8,6 +8,7 @@ use crate::Result;
 use rm_core::config::BusKind;
 use rm_core::DeviceConfig;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Which of the paper's §IV-C optimizations are active (Figure 22's ablation
 /// axis). Each level includes the previous ones.
@@ -71,12 +72,9 @@ impl Parallelism {
         }
     }
 
-    /// [`Parallelism::resolve`] against the machine's available parallelism.
+    /// [`Parallelism::resolve`] against [`host_threads`].
     pub fn resolve_here(self) -> usize {
-        let total = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.resolve(total)
+        self.resolve(host_threads())
     }
 
     /// Minimum pricing rows each worker must receive before `Auto` spawns
@@ -100,6 +98,20 @@ impl Parallelism {
             explicit => explicit.resolve(total),
         }
     }
+}
+
+/// The machine's hardware thread count
+/// ([`std::thread::available_parallelism`], 1 if unknown), resolved once
+/// per process: on Linux the query reads cgroup files, which costs more
+/// than pricing a small schedule. A CPU-quota change after the first call
+/// is not seen.
+pub fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Full configuration of a simulated StreamPIM platform.
@@ -223,111 +235,72 @@ impl StreamPim {
         self.parallelism
     }
 
-    /// Worker threads a run over `schedule` will use: the device's
-    /// parallelism level resolved against the machine *and* the schedule's
-    /// pricing-row count, so `Auto` declines to spawn threads for shapes
-    /// whose shards would finish faster than the threads start (see
+    /// Worker threads an unmemoized run over `schedule` will use: the
+    /// device's parallelism level resolved against the machine *and* the
+    /// schedule's pricing-row count, so `Auto` declines to spawn threads for
+    /// shapes whose shards would finish faster than the threads start (see
     /// [`Parallelism::resolve_for_rows`]).
     fn workers(&self, schedule: &Schedule) -> usize {
-        let total = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let rows: usize = schedule
             .rounds
             .iter()
             .map(|r| r.broadcasts.len() + r.collects.len() + r.computes.len())
             .sum();
-        self.parallelism.resolve_for_rows(total, rows)
+        self.parallelism.resolve_for_rows(host_threads(), rows)
     }
 
     /// Prices a schedule on this device: the core simulation entry point.
     pub fn execute(&self, schedule: &Schedule) -> ExecReport {
-        Engine::new(&self.config).run_instrumented_with_workers(
-            schedule,
-            &pim_trace::NullSink,
-            &rm_core::NullProbe,
-            self.workers(schedule),
-        )
+        self.execute_instrumented(schedule, &pim_trace::NullSink, &rm_core::NullProbe, None)
     }
 
-    /// Like [`StreamPim::execute`], but prices through a
-    /// [`crate::engine::PriceTable`] memo: rows already priced by an earlier
-    /// run of this configuration are replayed, only new `(kind, len)` rows
-    /// are priced fresh. Returns the report plus the number of rows priced
-    /// fresh this run. The report is byte-identical to [`StreamPim::execute`]
-    /// at any table state (see [`Engine::run_repriced`]).
+    /// Like [`StreamPim::execute`], but prices through a [`PriceTable`]
+    /// memo: rows already priced by an earlier run of this configuration
+    /// are replayed, only new `(kind, len)` rows are priced fresh. Returns
+    /// the report plus the number of rows priced fresh this run (the
+    /// table's [`PriceTable::misses`] delta). The report is byte-identical
+    /// to [`StreamPim::execute`] at any table state.
     pub fn execute_repriced(
         &self,
         schedule: &Schedule,
-        table: &mut crate::engine::PriceTable,
+        table: &mut PriceTable,
     ) -> (ExecReport, u64) {
-        Engine::new(&self.config).run_repriced(
+        let misses = table.misses();
+        let report = self.execute_instrumented(
             schedule,
             &pim_trace::NullSink,
             &rm_core::NullProbe,
-            table,
-        )
+            Some(table),
+        );
+        (report, table.misses() - misses)
     }
 
-    /// [`StreamPim::execute_repriced`] with tracing and profiling attached:
-    /// phase spans go to `sink`, component attribution to `probe`. The
-    /// engine's re-pricing contract makes the report — and every span and
-    /// probe sample — byte-identical to a cold instrumented run at any
-    /// table state, so always-on observers (the serving flight recorder)
-    /// can ride the memoized fast path without forcing a cold price.
-    pub fn execute_repriced_instrumented(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn pim_trace::TraceSink,
-        probe: &dyn rm_core::Probe,
-        table: &mut crate::engine::PriceTable,
-    ) -> (ExecReport, u64) {
-        Engine::new(&self.config).run_repriced(schedule, sink, probe, table)
-    }
-
-    /// Like [`StreamPim::execute`], but emits phase spans describing the
-    /// analytic timeline to `sink`. With a disabled sink (e.g.
-    /// [`pim_trace::NullSink`]) this is identical to `execute`.
-    pub fn execute_traced(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn pim_trace::TraceSink,
-    ) -> ExecReport {
-        Engine::new(&self.config).run_instrumented_with_workers(
-            schedule,
-            sink,
-            &rm_core::NullProbe,
-            self.workers(schedule),
-        )
-    }
-
-    /// Like [`StreamPim::execute`], but records component attribution on
-    /// `probe` (see [`Engine::run_profiled`] for the paths and the
-    /// conservation contract). With a disabled probe (e.g.
-    /// [`rm_core::NullProbe`]) this is identical to `execute`.
-    pub fn execute_profiled(&self, schedule: &Schedule, probe: &dyn rm_core::Probe) -> ExecReport {
-        Engine::new(&self.config).run_instrumented_with_workers(
-            schedule,
-            &pim_trace::NullSink,
-            probe,
-            self.workers(schedule),
-        )
-    }
-
-    /// Tracing and profiling in one pass (see [`StreamPim::execute_traced`]
-    /// and [`StreamPim::execute_profiled`]).
+    /// Prices a schedule with tracing and profiling attached: per-round
+    /// phase spans describing the analytic timeline go to `sink`, and
+    /// component attribution to `probe` under `bus/lane[k]`,
+    /// `device/subarray[s]` and `device/controller`, summing bit-exactly to
+    /// the report's counters and energy.
+    ///
+    /// Without a `table`, rows are priced inline, or pre-priced across
+    /// threads when the device's [`Parallelism`] asks for it. With one,
+    /// rows are priced serially through the memo (see
+    /// [`StreamPim::execute_repriced`]). The report, every span and every
+    /// probe sample are byte-identical across all of these, and to a run
+    /// with disabled instruments — so always-on observers (the serving
+    /// flight recorder) can ride the memoized fast path.
     pub fn execute_instrumented(
         &self,
         schedule: &Schedule,
         sink: &dyn pim_trace::TraceSink,
         probe: &dyn rm_core::Probe,
+        table: Option<&mut PriceTable>,
     ) -> ExecReport {
-        Engine::new(&self.config).run_instrumented_with_workers(
-            schedule,
-            sink,
-            probe,
-            self.workers(schedule),
-        )
+        let workers = if table.is_some() {
+            1
+        } else {
+            self.workers(schedule)
+        };
+        Engine::new(&self.config).run(schedule, sink, probe, table, workers)
     }
 }
 

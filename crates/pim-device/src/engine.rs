@@ -34,10 +34,10 @@ use crate::device::{OptLevel, StreamPimConfig};
 use crate::report::ExecReport;
 use crate::schedule::Schedule;
 use crate::vpc::Vpc;
-use pim_trace::{NullSink, Phase, Span, TraceSink, Track};
+use pim_trace::{Phase, Span, TraceSink, Track};
 use rm_bus::{BusModel, ElectricalBusModel};
 use rm_core::config::BusKind;
-use rm_core::{EnergyBreakdown, NullProbe, OpCounters, Probe, ProbeSample};
+use rm_core::{EnergyBreakdown, OpCounters, Probe, ProbeSample};
 use rm_proc::{PipelineModel, ProcOp};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -168,14 +168,14 @@ impl PriceKey {
     }
 }
 
-/// A memo of priced request-table rows, keyed by [`PriceKey`], for the
-/// incremental re-pricing path (PR 8): when the runtime sees a cache
-/// *near-miss* — a workload with the same DAG shape as a cached one but
-/// different dimensions — it re-prices only the rows whose key is new
-/// (the shape-dependent ones) and replays every other row from the memo.
-/// Memoized [`VpcCost`]s are the exact values a cold run would compute, so
-/// the composed report is byte-identical to cold pricing; the determinism
-/// suite enforces this.
+/// A memo of priced request-table rows, keyed by request kind and operand
+/// element count, for the incremental re-pricing path: when the runtime
+/// sees a cache *near-miss* — a workload with the same DAG shape as a
+/// cached one but different dimensions — it re-prices only the rows whose
+/// key is new (the shape-dependent ones) and replays every other row from
+/// the memo. Memoized costs are the exact values a cold run would compute,
+/// so the composed report is byte-identical to cold pricing; the
+/// determinism suite enforces this.
 ///
 /// A table is only valid for one engine configuration: costs depend on the
 /// full [`StreamPimConfig`]. Callers (the runtime's schedule cache) key
@@ -244,9 +244,10 @@ struct VpcCost {
     counters: OpCounters,
 }
 
-/// The analytic engine (see module docs).
+/// The analytic engine (see module docs). Crate-private: callers price
+/// through [`crate::StreamPim`], which picks the pricer.
 #[derive(Debug, Clone)]
-pub struct Engine {
+pub(crate) struct Engine {
     opt: OptLevel,
     params: EngineParams,
     pipeline: PipelineModel,
@@ -267,7 +268,7 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine from a validated configuration.
-    pub fn new(cfg: &StreamPimConfig) -> Self {
+    pub(crate) fn new(cfg: &StreamPimConfig) -> Self {
         let dev = &cfg.device;
         let pipeline = PipelineModel::new(
             dev.word_bits,
@@ -298,74 +299,64 @@ impl Engine {
         }
     }
 
-    /// Prices a schedule.
-    pub fn run(&self, schedule: &Schedule) -> ExecReport {
-        self.run_instrumented(schedule, &NullSink, &NullProbe)
-    }
-
-    /// Prices a schedule with component attribution: per-VPC costs are
-    /// recorded on `probe` under `bus/lane[k]` (transfers, keyed by their
-    /// transfer lane), `device/subarray[s]` (computes, keyed by their home
-    /// subarray) and `device/controller` (decode energy and occupancy).
+    /// Prices a schedule: the one pricing entry behind every
+    /// `StreamPim::execute*` call. The priced report is identical for
+    /// every sink, probe, table state and worker count.
     ///
-    /// Conservation contract: each emission records exactly the value the
-    /// engine adds to the report's global accumulators, in the same order,
-    /// so an attribution tree's total is bit-identical to the report's
-    /// `counters`/`energy`. Busy time is *occupancy* — per-component busy
-    /// sums intentionally exceed the composed wall-clock time, which is
-    /// derived after the fact (see the breakdown scaling in the source).
-    pub fn run_profiled(&self, schedule: &Schedule, probe: &dyn Probe) -> ExecReport {
-        self.run_instrumented(schedule, &NullSink, probe)
-    }
-
-    /// Prices a schedule, emitting one phase span per round into `sink`
-    /// (broadcast / compute / collect timelines, [`pim_trace::Phase`]).
-    ///
-    /// The phase timeline is *synthetic*: the closed forms compose
-    /// per-round makespans, not per-command start times, so spans carry the
+    /// **Trace.** One phase span per round goes to `sink` (broadcast /
+    /// compute / collect timelines, [`pim_trace::Phase`]). The phase
+    /// timeline is *synthetic*: the closed forms compose per-round
+    /// makespans, not per-command start times, so spans carry the
     /// per-round phase durations laid out according to the optimization
     /// level — one serial clock for `Base`/`Distribute`, separate
     /// compute/transfer clocks (both from zero) for `Unblock`, which is
-    /// exactly the overlap structure the closed form assumes. The priced
-    /// [`ExecReport`] is identical to [`Engine::run`] for every sink.
-    pub fn run_traced(&self, schedule: &Schedule, sink: &dyn TraceSink) -> ExecReport {
-        self.run_instrumented(schedule, sink, &NullProbe)
-    }
-
-    /// The fully instrumented pricing loop behind [`Engine::run`],
-    /// [`Engine::run_traced`] and [`Engine::run_profiled`]: emits phase
-    /// spans into `sink` and attribution samples into `probe`. The priced
-    /// report is identical for every sink/probe combination.
-    pub fn run_instrumented(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
-    ) -> ExecReport {
-        self.run_instrumented_with_workers(schedule, sink, probe, 1)
-    }
-
-    /// [`Engine::run_instrumented`] with intra-run parallelism: per-VPC cost
-    /// pricing — the hot part of an analytic run — is sharded across up to
-    /// `workers` scoped OS threads.
+    /// exactly the overlap structure the closed form assumes.
     ///
-    /// Determinism contract ("price, then compose"): pricing every VPC is a
-    /// pure function of the engine configuration, so the parallel path first
-    /// materializes the cost of each pricing request in exact serial
-    /// traversal order (per round: broadcast TRANs, collect TRANs, computes)
-    /// via [`rm_core::map_sharded`], then replays the *unchanged* serial
-    /// composition loop over that table. Every floating-point addition, every
-    /// probe sample, and every trace span therefore happens in the same
-    /// order with the same operands as a serial run — the returned
-    /// [`ExecReport`], attribution tree, and trace are byte-identical at any
-    /// worker count.
-    pub fn run_instrumented_with_workers(
+    /// **Attribution.** Per-VPC costs are recorded on `probe` under
+    /// `bus/lane[k]` (transfers, keyed by their transfer lane),
+    /// `device/subarray[s]` (computes, keyed by their home subarray) and
+    /// `device/controller` (decode energy and occupancy). Each emission
+    /// records exactly the value the engine adds to the report's global
+    /// accumulators, in the same order, so an attribution tree's total is
+    /// bit-identical to the report's `counters`/`energy`. Busy time is
+    /// *occupancy* — per-component busy sums intentionally exceed the
+    /// composed wall-clock time, which is derived after the fact.
+    ///
+    /// **Pricing.** With a `table`, rows whose [`PriceTable`] key is
+    /// already memoized are replayed and new rows are priced serially and
+    /// inserted (`workers` is ignored); memoized costs are the exact values
+    /// a cold run computes, provided the table was only ever fed by an
+    /// engine with this configuration. Without a table, rows are priced
+    /// inline when `workers <= 1`; otherwise the whole pricing-request
+    /// stream is priced up front in serial traversal order (per round:
+    /// broadcast TRANs, collect TRANs, computes) across `workers` scoped
+    /// threads via [`rm_core::map_sharded`] and replayed by cursor. Every
+    /// path feeds the same serial composition loop, so every floating-point
+    /// addition, probe sample and trace span happens in the same order
+    /// with the same operands: reports, attribution trees and traces are
+    /// byte-identical across paths.
+    pub(crate) fn run(
         &self,
         schedule: &Schedule,
         sink: &dyn TraceSink,
         probe: &dyn Probe,
+        table: Option<&mut PriceTable>,
         workers: usize,
     ) -> ExecReport {
+        if let Some(table) = table {
+            return self.compose(schedule, sink, probe, &mut |req| {
+                let key = PriceKey::of(req);
+                if let Some(&cost) = table.entries.get(&key) {
+                    table.hits += 1;
+                    cost
+                } else {
+                    let cost = self.price(req);
+                    table.entries.insert(key, cost);
+                    table.misses += 1;
+                    cost
+                }
+            });
+        }
         if workers <= 1 {
             return self.compose(schedule, sink, probe, &mut |req| self.price(req));
         }
@@ -377,40 +368,6 @@ impl Engine {
             cursor += 1;
             c
         })
-    }
-
-    /// Prices a schedule through a [`PriceTable`] memo: rows whose
-    /// [`PriceKey`] is already in the table are replayed from the memo; new
-    /// rows are priced fresh and inserted. Returns the report and the number
-    /// of rows priced fresh in *this* run (the re-priced row count surfaced
-    /// as `cache_repriced_rows`).
-    ///
-    /// Because pricing is pure per key and the composition loop is the same
-    /// serial walk as [`Engine::run_instrumented`], the report — and every
-    /// probe sample and trace span — is byte-identical to a cold run at any
-    /// table state, provided the table was only ever fed by an engine with
-    /// this configuration.
-    pub fn run_repriced(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
-        table: &mut PriceTable,
-    ) -> (ExecReport, u64) {
-        let misses_before = table.misses;
-        let report = self.compose(schedule, sink, probe, &mut |req| {
-            let key = PriceKey::of(req);
-            if let Some(&cost) = table.entries.get(&key) {
-                table.hits += 1;
-                cost
-            } else {
-                let cost = self.price(req);
-                table.entries.insert(key, cost);
-                table.misses += 1;
-                cost
-            }
-        });
-        (report, table.misses - misses_before)
     }
 
     /// Prices one request (pure in `&self`).
@@ -440,9 +397,9 @@ impl Engine {
     }
 
     /// The serial composition loop: walks the schedule, obtains each VPC's
-    /// cost from `pricer` (inline computation on the serial path, a cursor
-    /// into the pre-priced table on the parallel path), and folds costs into
-    /// the report, probe, and trace in a single deterministic order.
+    /// cost from `pricer` (inline computation, a memo lookup, or a cursor
+    /// into the pre-priced table), and folds costs into the report, probe,
+    /// and trace in a single deterministic order.
     fn compose(
         &self,
         schedule: &Schedule,
@@ -742,7 +699,7 @@ impl Engine {
     /// Subarray/lane occupancy of one command under this engine's cost
     /// models (the event-driven reference engine composes these into
     /// explicit timelines).
-    pub fn vpc_busy_ns(&self, vpc: &Vpc) -> f64 {
+    pub(crate) fn vpc_busy_ns(&self, vpc: &Vpc) -> f64 {
         match *vpc {
             Vpc::Tran { len, .. } => self.tran_cost(len as u64).busy_ns,
             _ => self.compute_cost(vpc).busy_ns,
@@ -751,7 +708,7 @@ impl Engine {
 
     /// Operation-counter deltas of one command under this engine's cost
     /// models (trace spans carry these as per-span arguments).
-    pub fn vpc_counters(&self, vpc: &Vpc) -> OpCounters {
+    pub(crate) fn vpc_counters(&self, vpc: &Vpc) -> OpCounters {
         match *vpc {
             Vpc::Tran { len, .. } => self.tran_cost(len as u64).counters,
             _ => self.compute_cost(vpc).counters,
@@ -894,6 +851,8 @@ mod tests {
     use super::*;
     use crate::schedule::Round;
     use crate::vpc::VecRef;
+    use pim_trace::NullSink;
+    use rm_core::NullProbe;
 
     fn schedule(rounds: usize, computes_per_round: usize, len: u32) -> Schedule {
         let mut s = Schedule::new();
@@ -924,7 +883,7 @@ mod tests {
 
     fn run(opt: OptLevel) -> ExecReport {
         let cfg = StreamPimConfig::paper_default().with_opt(opt);
-        Engine::new(&cfg).run(&schedule(20, 256, 2000))
+        Engine::new(&cfg).run(&schedule(20, 256, 2000), &NullSink, &NullProbe, None, 1)
     }
 
     #[test]
@@ -982,7 +941,7 @@ mod tests {
     }
 
     fn run_with_config(cfg: StreamPimConfig) -> ExecReport {
-        Engine::new(&cfg).run(&schedule(20, 256, 2000))
+        Engine::new(&cfg).run(&schedule(20, 256, 2000), &NullSink, &NullProbe, None, 1)
     }
 
     #[test]
@@ -1009,7 +968,9 @@ mod tests {
                     }
                     s.push(round);
                 }
-                Engine::new(&cfg).run(&s).total_ns()
+                Engine::new(&cfg)
+                    .run(&s, &NullSink, &NullProbe, None, 1)
+                    .total_ns()
             })
             .collect();
         assert!(times[0] > times[1] && times[1] > times[2], "{times:?}");
@@ -1032,7 +993,7 @@ mod tests {
     #[test]
     fn empty_schedule_is_free() {
         let cfg = StreamPimConfig::paper_default();
-        let r = Engine::new(&cfg).run(&Schedule::new());
+        let r = Engine::new(&cfg).run(&Schedule::new(), &NullSink, &NullProbe, None, 1);
         assert_eq!(r.total_ns(), 0.0);
         assert_eq!(r.total_pj(), 0.0);
     }
@@ -1045,7 +1006,8 @@ mod tests {
             // Full-utilization rounds (4 VPCs per subarray), as real
             // kernel lowerings produce.
             let cfg = StreamPimConfig::paper_default().with_segment_domains(seg);
-            let r = Engine::new(&cfg).run(&schedule(20, 2048, 2600));
+            let r =
+                Engine::new(&cfg).run(&schedule(20, 2048, 2600), &NullSink, &NullProbe, None, 1);
             (r.total_ns(), r.total_pj())
         };
         let (t1024, e1024) = t(1024);
@@ -1062,8 +1024,8 @@ mod tests {
             let cfg = StreamPimConfig::paper_default().with_opt(opt);
             let engine = Engine::new(&cfg);
             let sink = pim_trace::Collector::new();
-            let plain = engine.run(&s);
-            let traced = engine.run_traced(&s, &sink);
+            let plain = engine.run(&s, &NullSink, &NullProbe, None, 1);
+            let traced = engine.run(&s, &sink, &NullProbe, None, 1);
             assert_eq!(plain, traced, "sink must not perturb pricing ({opt:?})");
             assert!(sink.span_count() > 0, "phases should be recorded ({opt:?})");
         }
@@ -1074,7 +1036,7 @@ mod tests {
         let cfg = StreamPimConfig::paper_default().with_opt(OptLevel::Base);
         let s = schedule(5, 32, 600);
         let sink = pim_trace::Collector::new();
-        let report = Engine::new(&cfg).run_traced(&s, &sink);
+        let report = Engine::new(&cfg).run(&s, &sink, &NullProbe, None, 1);
         let a = pim_trace::analyze::Analysis::of(&sink.spans());
         // Base is fully serial: compute and transfer never overlap, and the
         // phase spans tile [0, total] exactly (no controller floor here).
@@ -1093,7 +1055,7 @@ mod tests {
         let frac = |opt: OptLevel| {
             let cfg = StreamPimConfig::paper_default().with_opt(opt);
             let sink = pim_trace::Collector::new();
-            Engine::new(&cfg).run_traced(&s, &sink);
+            Engine::new(&cfg).run(&s, &sink, &NullProbe, None, 1);
             pim_trace::analyze::Analysis::of(&sink.spans()).overlap_fraction
         };
         let base = frac(OptLevel::Base);
@@ -1111,9 +1073,9 @@ mod tests {
         for opt in [OptLevel::Base, OptLevel::Distribute, OptLevel::Unblock] {
             let cfg = StreamPimConfig::paper_default().with_opt(opt);
             let engine = Engine::new(&cfg);
-            let serial = engine.run_instrumented(&s, &NullSink, &NullProbe);
+            let serial = engine.run(&s, &NullSink, &NullProbe, None, 1);
             for workers in [2usize, 3, 7, 16] {
-                let par = engine.run_instrumented_with_workers(&s, &NullSink, &NullProbe, workers);
+                let par = engine.run(&s, &NullSink, &NullProbe, None, workers);
                 assert_eq!(serial, par, "workers={workers} opt={opt:?}");
                 assert_eq!(
                     serial.total_ns().to_bits(),
@@ -1122,6 +1084,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Prices `s` through `table`, returning the report and the rows priced
+    /// fresh this run (the table's miss delta).
+    fn repriced(engine: &Engine, s: &Schedule, table: &mut PriceTable) -> (ExecReport, u64) {
+        let misses = table.misses();
+        let report = engine.run(s, &NullSink, &NullProbe, Some(table), 1);
+        (report, table.misses() - misses)
     }
 
     #[test]
@@ -1133,13 +1103,13 @@ mod tests {
 
             // Cold-prime the table on one shape.
             let s1 = schedule(8, 64, 1200);
-            let cold1 = engine.run(&s1);
-            let (warm1, fresh1) = engine.run_repriced(&s1, &NullSink, &NullProbe, &mut table);
+            let cold1 = engine.run(&s1, &NullSink, &NullProbe, None, 1);
+            let (warm1, fresh1) = repriced(&engine, &s1, &mut table);
             assert_eq!(cold1, warm1, "first repriced run ({opt:?})");
             assert!(fresh1 > 0, "first run must price rows fresh");
 
             // Same shape again: every row replays from the memo.
-            let (warm1b, fresh1b) = engine.run_repriced(&s1, &NullSink, &NullProbe, &mut table);
+            let (warm1b, fresh1b) = repriced(&engine, &s1, &mut table);
             assert_eq!(cold1, warm1b);
             assert_eq!(fresh1b, 0, "identical schedule re-prices nothing");
 
@@ -1147,8 +1117,8 @@ mod tests {
             // dimension-dependent keys price fresh, and the report still
             // matches cold pricing bit-for-bit.
             let s2 = schedule(8, 64, 900);
-            let cold2 = engine.run(&s2);
-            let (warm2, fresh2) = engine.run_repriced(&s2, &NullSink, &NullProbe, &mut table);
+            let cold2 = engine.run(&s2, &NullSink, &NullProbe, None, 1);
+            let (warm2, fresh2) = repriced(&engine, &s2, &mut table);
             assert_eq!(cold2, warm2, "near-miss repriced run ({opt:?})");
             assert!(fresh2 > 0, "changed dimensions must re-price");
             assert!(
@@ -1170,7 +1140,7 @@ mod tests {
         assert!(table.is_empty());
         let s = schedule(2, 4, 500);
         let reqs = engine.price_requests(&s).len() as u64;
-        let (_, fresh) = engine.run_repriced(&s, &NullSink, &NullProbe, &mut table);
+        let (_, fresh) = repriced(&engine, &s, &mut table);
         assert_eq!(table.misses(), fresh);
         assert_eq!(table.hits(), reqs - fresh);
         assert_eq!(table.len() as u64, fresh);

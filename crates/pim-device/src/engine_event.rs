@@ -1,8 +1,9 @@
 //! Event-driven reference engine: validates the analytic model.
 //!
-//! The production engine ([`crate::engine::Engine`]) aggregates per-round
-//! costs in closed form (sums of makespans, lane maxima). This module
-//! implements the *same scheduling policy* operationally — every VPC gets
+//! The production engine (the analytic engine behind
+//! [`crate::StreamPim::execute`]) aggregates per-round costs in closed
+//! form (sums of makespans, lane maxima). This module implements the
+//! *same scheduling policy* operationally — every VPC gets
 //! explicit start/end times on explicit resources — and serves as the
 //! reference the closed forms are tested against (see the `engine_agree`
 //! tests and the cross-validation in `tests/`).
@@ -75,25 +76,37 @@ impl EventEngine {
         }
     }
 
-    /// Runs `schedule` like [`EventEngine::run`], additionally emitting one
-    /// span per scheduled command into `sink`: compute commands land on
+    /// Runs `schedule` like [`EventEngine::run`], walking the scheduled
+    /// intervals once to feed the instruments.
+    ///
+    /// `sink` gets one span per scheduled command: compute commands land on
     /// their subarray's track, transfers on their lane's track, and every
     /// command's decode slot on the decoder track. Span arguments carry the
     /// VPC kind and the per-command operation-counter deltas.
-    pub fn run_traced(
+    ///
+    /// `probe` gets per-component attribution: each transfer's interval and
+    /// counters land on `bus/lane[k]`, each compute's on
+    /// `device/subarray[s]`, and every command's decode slot on
+    /// `device/controller` — the same component paths the analytic engine
+    /// uses, so profiles from both engines diff against each other. The
+    /// event engine prices no energy, so samples carry counters and busy
+    /// time only.
+    pub fn run_instrumented(
         &self,
         schedule: &Schedule,
         sink: &dyn TraceSink,
+        probe: &dyn rm_core::Probe,
     ) -> (f64, Vec<ScheduledVpc>) {
         let (makespan, intervals) = self.run(schedule);
-        if sink.enabled() {
-            // Decode slots serialize on the per-bank controllers; the model
-            // spreads them evenly over the lanes, so one aggregate decoder
-            // track shows slots of `controller_ns / lanes` back to back.
-            let decode_slot = self.controller_ns_per_vpc / self.tran_lanes as f64;
-            for (i, sv) in intervals.iter().enumerate() {
-                let counters = self.analytic.vpc_counters(&sv.vpc);
-                let dur = sv.end_ns - sv.start_ns;
+        let (traced, probed) = (sink.enabled(), probe.enabled());
+        // Decode slots serialize on the per-bank controllers; the model
+        // spreads them evenly over the lanes, so one aggregate decoder
+        // track shows slots of `controller_ns / lanes` back to back.
+        let decode_slot = self.controller_ns_per_vpc / self.tran_lanes as f64;
+        for (i, sv) in intervals.iter().enumerate() {
+            let counters = self.analytic.vpc_counters(&sv.vpc);
+            let dur = sv.end_ns - sv.start_ns;
+            if traced {
                 let span = match sv.vpc {
                     Vpc::Tran { src, dst, len } => Span::sim(
                         format!("TRAN x{len}"),
@@ -135,29 +148,7 @@ impl EventEngine {
                     );
                 }
             }
-        }
-        (makespan, intervals)
-    }
-
-    /// Runs `schedule` like [`EventEngine::run`], additionally recording
-    /// per-component attribution on `probe`: each transfer's interval and
-    /// counters land on `bus/lane[k]`, each compute's on
-    /// `device/subarray[s]`, and every command's decode slot on
-    /// `device/controller` — the same component paths the analytic
-    /// [`crate::engine::Engine::run_profiled`] uses, so profiles from both
-    /// engines diff against each other. The event engine prices no energy,
-    /// so samples carry counters and busy time only.
-    pub fn run_profiled(
-        &self,
-        schedule: &Schedule,
-        probe: &dyn rm_core::Probe,
-    ) -> (f64, Vec<ScheduledVpc>) {
-        let (makespan, intervals) = self.run(schedule);
-        if probe.enabled() {
-            let decode_slot = self.controller_ns_per_vpc / self.tran_lanes as f64;
-            for sv in &intervals {
-                let ops = self.analytic.vpc_counters(&sv.vpc);
-                let busy = sv.end_ns - sv.start_ns;
+            if probed {
                 let path = match sv.vpc {
                     Vpc::Tran { dst, .. } => {
                         format!("bus/lane[{}]", dst as usize % self.tran_lanes)
@@ -169,9 +160,9 @@ impl EventEngine {
                 probe.record(
                     &path,
                     rm_core::ProbeSample {
-                        ops,
+                        ops: counters,
                         energy: rm_core::EnergyBreakdown::default(),
-                        busy_ns: busy,
+                        busy_ns: dur,
                     },
                 );
                 if decode_slot > 0.0 {
@@ -357,7 +348,9 @@ mod tests {
         let cfg = StreamPimConfig::paper_default().with_opt(OptLevel::Base);
         let s = schedule(5, 64, 512);
         let (event_ns, _) = EventEngine::new(&cfg).run(&s);
-        let analytic_ns = Engine::new(&cfg).run(&s).total_ns();
+        let analytic_ns = Engine::new(&cfg)
+            .run(&s, &pim_trace::NullSink, &rm_core::NullProbe, None, 1)
+            .total_ns();
         assert!(
             (event_ns - analytic_ns).abs() / analytic_ns < 1e-9,
             "base is a plain sum: {event_ns} vs {analytic_ns}"
@@ -378,7 +371,9 @@ mod tests {
         ] {
             let s = schedule(rounds, computes, len);
             let (event_ns, _) = EventEngine::new(&cfg).run(&s);
-            let analytic_ns = Engine::new(&cfg).run(&s).total_ns();
+            let analytic_ns = Engine::new(&cfg)
+                .run(&s, &pim_trace::NullSink, &rm_core::NullProbe, None, 1)
+                .total_ns();
             let err = (event_ns - analytic_ns).abs() / analytic_ns;
             assert!(
                 err < tol,
@@ -444,7 +439,8 @@ mod tests {
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(3, 16, 500);
         let sink = pim_trace::Collector::new();
-        let (traced_ns, intervals) = EventEngine::new(&cfg).run_traced(&s, &sink);
+        let (traced_ns, intervals) =
+            EventEngine::new(&cfg).run_instrumented(&s, &sink, &rm_core::NullProbe);
         let (plain_ns, _) = EventEngine::new(&cfg).run(&s);
         assert_eq!(traced_ns, plain_ns, "sink must not perturb the makespan");
         let spans = sink.spans();
@@ -489,7 +485,8 @@ mod tests {
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(3, 16, 500);
         let probe = MapProbe::default();
-        let (profiled_ns, intervals) = EventEngine::new(&cfg).run_profiled(&s, &probe);
+        let (profiled_ns, intervals) =
+            EventEngine::new(&cfg).run_instrumented(&s, &pim_trace::NullSink, &probe);
         let (plain_ns, _) = EventEngine::new(&cfg).run(&s);
         assert_eq!(profiled_ns, plain_ns, "probe must not perturb the makespan");
         let map = probe.0.lock().unwrap();
@@ -518,7 +515,8 @@ mod tests {
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(2, 8, 300);
         let sink = pim_trace::NullSink;
-        let (ns, intervals) = EventEngine::new(&cfg).run_traced(&s, &sink);
+        let (ns, intervals) =
+            EventEngine::new(&cfg).run_instrumented(&s, &sink, &rm_core::NullProbe);
         assert!(ns > 0.0);
         assert!(!intervals.is_empty());
     }

@@ -45,7 +45,7 @@ pub mod schedule;
 pub mod task;
 pub mod vpc;
 
-pub use device::{OptLevel, Parallelism, StreamPim, StreamPimConfig};
+pub use device::{host_threads, OptLevel, Parallelism, StreamPim, StreamPimConfig};
 pub use engine::PriceTable;
 pub use error::PimError;
 pub use report::ExecReport;

@@ -1,7 +1,6 @@
 //! Property-based tests for the device layer: functional correctness over
 //! arbitrary shapes/values, and engine model invariants.
 
-use pim_device::engine::Engine;
 use pim_device::engine_event::EventEngine;
 use pim_device::flow::DeviceFlow;
 use pim_device::matrix::Matrix;
@@ -183,7 +182,7 @@ proptest! {
         let cfg = StreamPimConfig::paper_default().with_opt(opt);
         let s = event_schedule(rounds, computes, len);
         let sink = Collector::new();
-        EventEngine::new(&cfg).run_traced(&s, &sink);
+        EventEngine::new(&cfg).run_instrumented(&s, &sink, &rm_core::NullProbe);
         let mut per_track: std::collections::HashMap<Track, Vec<(f64, f64)>> =
             std::collections::HashMap::new();
         for sp in sink.spans() {
@@ -217,7 +216,7 @@ proptest! {
         let cfg = StreamPimConfig::paper_default().with_opt(opt);
         let s = event_schedule(rounds, computes, len);
         let sink = Collector::new();
-        let (makespan, _) = EventEngine::new(&cfg).run_traced(&s, &sink);
+        let (makespan, _) = EventEngine::new(&cfg).run_instrumented(&s, &sink, &rm_core::NullProbe);
         let lanes = cfg.device.pim_banks.max(1) as f64;
         let floor = s.counts().total() as f64 * cfg.engine.controller_ns_per_vpc / lanes;
         let latest = sink
@@ -230,7 +229,7 @@ proptest! {
             "span ends {} / floor {} vs makespan {} ({:?})", latest, floor, makespan, opt
         );
         if opt == OptLevel::Base {
-            let analytic = Engine::new(&cfg).run(&s).total_ns();
+            let analytic = StreamPim::new(cfg.clone()).expect("valid").execute(&s).total_ns();
             prop_assert!(
                 (makespan - analytic).abs() <= 1e-9 * analytic.max(1.0),
                 "base event makespan {} != analytic {}", makespan, analytic

@@ -20,7 +20,8 @@
 //! ## Determinism contract
 //!
 //! The recorder only *observes*. Taps ride the instrumented repriced fast
-//! path (`Engine::run_repriced` is byte-identical instrumented or not), so
+//! path (`StreamPim::execute_instrumented` with a price table is
+//! byte-identical instrumented or not), so
 //! simulated reports are byte-identical with the recorder on, off, or mid
 //! eviction — the serving determinism suite pins this. Retention decisions
 //! themselves are a pure function of the observation stream: given the

@@ -15,7 +15,7 @@
 //!   wrapping a tree.
 //! * [`Profile`] — the serializable export: JSON profiles, top-N hotspot
 //!   tables, and inferno-compatible folded-stack text for flamegraphs.
-//! * [`diff`] — per-node percent-change between two profiles with a
+//! * [`diff()`] — per-node percent-change between two profiles with a
 //!   drift threshold, backing `profile diff a.json b.json`.
 //!
 //! ```

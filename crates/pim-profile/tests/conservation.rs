@@ -43,7 +43,7 @@ proptest! {
         let platform = Platform::new(kind).unwrap();
         let probe = AttributionProbe::new();
         let report = platform
-            .run_with_schedule_profiled(&workload, None, &probe)
+            .run_instrumented(&workload, None, &pim_trace::NullSink, &probe)
             .unwrap();
         let tree = probe.into_tree();
         prop_assert!(!tree.is_empty(), "{kind}: nothing attributed");
@@ -60,7 +60,7 @@ proptest! {
         let platform = Platform::new(PlatformKind::StPim).unwrap();
         let probe = AttributionProbe::new();
         platform
-            .run_with_schedule_profiled(&workload, None, &probe)
+            .run_instrumented(&workload, None, &pim_trace::NullSink, &probe)
             .unwrap();
         let tree = probe.into_tree();
         let sum = tree.exclusive_sum();
@@ -100,7 +100,7 @@ fn engine_profile_covers_all_component_classes() {
     }
     let device = StreamPim::new(StreamPimConfig::paper_default()).unwrap();
     let probe = AttributionProbe::new();
-    let report = device.execute_profiled(&schedule, &probe);
+    let report = device.execute_instrumented(&schedule, &pim_trace::NullSink, &probe, None);
     let plain = device.execute(&schedule);
     assert_eq!(report, plain, "profiling must not change the report");
 

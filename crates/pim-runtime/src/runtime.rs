@@ -30,10 +30,7 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
+            workers: pim_device::host_threads().min(8),
             cache_enabled: true,
             intra_parallelism: Parallelism::Serial,
         }
@@ -226,6 +223,27 @@ impl Runtime {
         at.duration_since(self.origin).as_nanos() as f64
     }
 
+    /// Records a job's host span in the job's own sink and the runtime's.
+    fn record_span(&self, instruments: &JobInstruments<'_>, span: Span) {
+        if instruments.sink.enabled() {
+            instruments.sink.record_span(span.clone());
+        }
+        if self.sink.enabled() {
+            self.sink.record_span(span);
+        }
+    }
+
+    /// Records a job's cache instant in the job's own sink and the
+    /// runtime's.
+    fn record_instant(&self, instruments: &JobInstruments<'_>, event: Event) {
+        if instruments.sink.enabled() {
+            instruments.sink.record_instant(event.clone());
+        }
+        if self.sink.enabled() {
+            self.sink.record_instant(event);
+        }
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
@@ -375,12 +393,7 @@ impl Runtime {
                         "queued_ns",
                         started.duration_since(batch_start).as_nanos() as u64,
                     );
-                if instruments.sink.enabled() {
-                    instruments.sink.record_span(span.clone());
-                }
-                if self.sink.enabled() {
-                    self.sink.record_span(span);
-                }
+                self.record_span(instruments, span);
             }
             self.metrics.record_job(
                 JobMetrics {
@@ -495,12 +508,7 @@ impl Runtime {
             )
             .arg("job", job.name.clone())
             .arg("hit", hit);
-            if instruments.sink.enabled() {
-                instruments.sink.record_instant(probe_event.clone());
-            }
-            if self.sink.enabled() {
-                self.sink.record_instant(probe_event);
-            }
+            self.record_instant(instruments, probe_event);
             if !hit {
                 // A miss means the closure lowered the task; the probe's
                 // wall-clock is the lowering cost (lock overhead is
@@ -513,12 +521,7 @@ impl Runtime {
                     probe_start.elapsed().as_nanos() as f64,
                 )
                 .arg("job", job.name.clone());
-                if instruments.sink.enabled() {
-                    instruments.sink.record_span(lower_span.clone());
-                }
-                if self.sink.enabled() {
-                    self.sink.record_span(lower_span);
-                }
+                self.record_span(instruments, lower_span);
             }
         }
 
@@ -526,7 +529,7 @@ impl Runtime {
         // map, run through it, merge it back. A full-key miss with a
         // previously seen shape key is a near miss — only rows with a new
         // `(kind, len)` are priced fresh; the report stays byte-identical
-        // to a cold run (see `Engine::run_repriced`).
+        // to a cold run (see `StreamPim::execute_instrumented`).
         let (mut table, shape_seen) = match self
             .reprice
             .lock()
@@ -536,13 +539,15 @@ impl Runtime {
             Some(table) => (table, true),
             None => (PriceTable::new(), false),
         };
-        if let Some((report, fresh)) = platform.run_schedule_repriced_instrumented(
+        let misses = table.misses();
+        if let Some(report) = platform.run_schedule_repriced_instrumented(
             &schedule,
             &mut table,
             instruments.sink,
             instruments.probe,
         ) {
             use std::collections::hash_map::Entry;
+            let fresh = table.misses() - misses;
             match self.reprice.lock().expect("reprice lock").entry(shape_key) {
                 // Another worker re-seeded the shape while we ran: merge
                 // (rows are pure per key, so collisions are identical).
@@ -555,17 +560,16 @@ impl Runtime {
             if !hit && shape_seen {
                 cache.near_hit = true;
                 self.metrics.record_near_hit(fresh);
-                if self.sink.enabled() {
-                    self.sink.record_instant(
-                        Event::host(
-                            "cache near hit",
-                            "cache",
-                            Track::Cache,
-                            self.host_ns(Instant::now()),
-                        )
-                        .arg("job", job.name.clone())
-                        .arg("repriced_rows", fresh),
-                    );
+                if self.sink.enabled() || instruments.sink.enabled() {
+                    let near_event = Event::host(
+                        "cache near hit",
+                        "cache",
+                        Track::Cache,
+                        self.host_ns(Instant::now()),
+                    )
+                    .arg("job", job.name.clone())
+                    .arg("repriced_rows", fresh);
+                    self.record_instant(instruments, near_event);
                 }
             }
             return (Ok(report), cache);
@@ -625,12 +629,11 @@ impl Runtime {
     pub fn intra_budget(&self) -> Parallelism {
         match self.config.intra_parallelism {
             Parallelism::Serial => Parallelism::Serial,
-            requested => {
-                let total = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                Parallelism::Threads(intra_worker_budget(requested, self.config.workers, total))
-            }
+            requested => Parallelism::Threads(intra_worker_budget(
+                requested,
+                self.config.workers,
+                pim_device::host_threads(),
+            )),
         }
     }
 
@@ -1101,6 +1104,36 @@ mod tests {
             "near misses re-price only shape-dependent rows, got {}",
             snap.cache_repriced_rows
         );
+    }
+
+    #[test]
+    fn near_hit_instant_reaches_the_job_instruments() {
+        let runtime = Runtime::new(RuntimeConfig {
+            workers: 1,
+            cache_enabled: true,
+            ..RuntimeConfig::default()
+        });
+        let jobs: Vec<Job> = [
+            WorkloadSpec::MatMul { m: 32, k: 64, n: 4 },
+            WorkloadSpec::MatMul { m: 48, k: 64, n: 4 },
+        ]
+        .iter()
+        .map(|s| Job::new(*s, PlatformKind::StPim))
+        .collect();
+        let collector = pim_trace::Collector::new();
+        let instruments = JobInstruments {
+            sink: &collector,
+            probe: &rm_core::NullProbe,
+        };
+        let (batch, dispositions) = runtime.run_batch_instrumented(&jobs, &instruments);
+        assert_eq!(batch.completed(), 2);
+        assert!(dispositions[1].near_hit);
+        let near_hits = collector
+            .events()
+            .iter()
+            .filter(|e| e.name == "cache near hit")
+            .count();
+        assert_eq!(near_hits, 1, "the job sink sees the near-hit instant");
     }
 
     #[test]

@@ -107,9 +107,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let machine = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let machine = pim_device::host_threads();
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             http_workers: 2,
@@ -145,9 +143,7 @@ impl ServeConfig {
     /// [`intra_worker_budget`] — so `dispatch_workers × intra_per_job`
     /// never exceeds the compute budget.
     pub fn plan(&self) -> ThreadPlan {
-        let machine = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let machine = pim_device::host_threads();
         let compute = machine.saturating_sub(self.http_workers).max(1);
         let intra_per_job = intra_worker_budget(Parallelism::Auto, self.dispatch_workers, compute);
         ThreadPlan {

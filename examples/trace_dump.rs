@@ -20,7 +20,6 @@
 
 use std::sync::Arc;
 use streampim::pim_baselines::platform::PlatformKind;
-use streampim::pim_device::engine::Engine;
 use streampim::pim_device::engine_event::EventEngine;
 use streampim::pim_device::{OptLevel, StreamPim, StreamPimConfig};
 use streampim::pim_runtime::{Job, Runtime, RuntimeConfig};
@@ -28,6 +27,7 @@ use streampim::pim_trace::analyze::Analysis;
 use streampim::pim_trace::{chrome, Collector, TraceSink};
 use streampim::pim_workloads::polybench::Kernel;
 use streampim::pim_workloads::spec::WorkloadSpec;
+use streampim::rm_core::NullProbe;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut positional: Vec<String> = Vec::new();
@@ -70,19 +70,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Simulated timelines: the operational engine's per-command spans
     // (subarray / transfer-lane / decoder tracks) ...
-    EventEngine::new(&cfg).run_traced(&schedule, &sink);
+    EventEngine::new(&cfg).run_instrumented(&schedule, &sink, &NullProbe);
     // ... plus the analytic engine's phase spans for the same schedule.
-    Engine::new(&cfg).run_traced(&schedule, &sink);
+    device.execute_instrumented(&schedule, &sink, &NullProbe, None);
 
     // The analytic overlap comparison (Figure 22's mechanism): same
     // schedule, optimizations off vs on.
-    let overlap = |opt: OptLevel| {
+    let overlap = |opt: OptLevel| -> Result<f64, Box<dyn std::error::Error>> {
         let c = Collector::new();
-        Engine::new(&cfg.clone().with_opt(opt)).run_traced(&schedule, &c);
-        Analysis::of(&c.spans()).overlap_fraction
+        StreamPim::new(cfg.clone().with_opt(opt))?
+            .execute_instrumented(&schedule, &c, &NullProbe, None);
+        Ok(Analysis::of(&c.spans()).overlap_fraction)
     };
-    let overlap_base = overlap(OptLevel::Base);
-    let overlap_unblock = overlap(OptLevel::Unblock);
+    let overlap_base = overlap(OptLevel::Base)?;
+    let overlap_unblock = overlap(OptLevel::Unblock)?;
 
     // Host timelines: push the same workload (plus a host baseline for
     // contrast) through the traced batch runtime.

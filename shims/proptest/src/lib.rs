@@ -265,7 +265,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     pub trait IntoLenRange {
         /// Draws a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;

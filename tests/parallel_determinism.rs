@@ -15,9 +15,10 @@ use streampim::pim_device::vpc::{VecRef, Vpc};
 use streampim::pim_device::{OptLevel, Parallelism, StreamPim, StreamPimConfig};
 use streampim::pim_profile::AttributionProbe;
 use streampim::pim_trace::analyze::Analysis;
-use streampim::pim_trace::Collector;
+use streampim::pim_trace::{Collector, NullSink};
 use streampim::pim_workloads::polybench::Kernel;
 use streampim::pim_workloads::spec::WorkloadSpec;
+use streampim::rm_core::NullProbe;
 
 /// Worker counts to test, env-overridable so CI can probe other shapes.
 fn worker_counts() -> Vec<usize> {
@@ -74,14 +75,14 @@ fn attribution_trees_are_identical_at_any_worker_count() {
     let device = StreamPim::new(StreamPimConfig::paper_default()).expect("valid");
     let schedule = lowered(Kernel::Gemm, &device);
     let probe = AttributionProbe::new();
-    let baseline_report = device.execute_profiled(&schedule, &probe);
+    let baseline_report = device.execute_instrumented(&schedule, &NullSink, &probe, None);
     let baseline_tree = probe.into_tree();
     for &workers in &worker_counts() {
         let probe = AttributionProbe::new();
         let report = device
             .clone()
             .with_parallelism(Parallelism::Threads(workers))
-            .execute_profiled(&schedule, &probe);
+            .execute_instrumented(&schedule, &NullSink, &probe, None);
         assert_eq!(report, baseline_report, "report x{workers}");
         assert_eq!(probe.into_tree(), baseline_tree, "tree x{workers}");
     }
@@ -92,7 +93,7 @@ fn trace_analyses_are_identical_at_any_worker_count() {
     let device = StreamPim::new(StreamPimConfig::paper_default()).expect("valid");
     let schedule = lowered(Kernel::Mvt, &device);
     let sink = Collector::new();
-    device.execute_traced(&schedule, &sink);
+    device.execute_instrumented(&schedule, &sink, &NullProbe, None);
     let baseline_spans = sink.spans();
     let baseline = Analysis::of(&baseline_spans);
     for &workers in &worker_counts() {
@@ -100,7 +101,7 @@ fn trace_analyses_are_identical_at_any_worker_count() {
         device
             .clone()
             .with_parallelism(Parallelism::Threads(workers))
-            .execute_traced(&schedule, &sink);
+            .execute_instrumented(&schedule, &sink, &NullProbe, None);
         let spans = sink.spans();
         assert_eq!(spans, baseline_spans, "span stream x{workers}");
         assert_eq!(Analysis::of(&spans), baseline, "analysis x{workers}");
@@ -160,7 +161,7 @@ fn observed_runs_are_bit_identical_to_unobserved_runs() {
         let traced = device
             .clone()
             .with_parallelism(Parallelism::Threads(workers))
-            .execute_traced(&schedule, &sink);
+            .execute_instrumented(&schedule, &sink, &NullProbe, None);
         assert_eq!(traced, bare, "traced report x{workers}");
         assert_eq!(
             traced.total_ns().to_bits(),

@@ -5,7 +5,6 @@
 use serde::Value;
 use std::sync::Arc;
 use streampim::pim_baselines::platform::PlatformKind;
-use streampim::pim_device::engine::Engine;
 use streampim::pim_device::engine_event::EventEngine;
 use streampim::pim_device::schedule::Schedule;
 use streampim::pim_device::{OptLevel, StreamPim, StreamPimConfig};
@@ -14,6 +13,7 @@ use streampim::pim_trace::analyze::Analysis;
 use streampim::pim_trace::{chrome, Collector, NullSink, TraceSink};
 use streampim::pim_workloads::polybench::Kernel;
 use streampim::pim_workloads::spec::WorkloadSpec;
+use streampim::rm_core::NullProbe;
 
 /// A small polybench schedule lowered under the paper-default device.
 fn lowered(kernel: Kernel, scale: f64) -> (StreamPimConfig, Schedule) {
@@ -31,8 +31,10 @@ fn lowered(kernel: Kernel, scale: f64) -> (StreamPimConfig, Schedule) {
 fn full_trace(kernel: Kernel, scale: f64) -> Collector {
     let (cfg, schedule) = lowered(kernel, scale);
     let sink = Collector::new();
-    EventEngine::new(&cfg).run_traced(&schedule, &sink);
-    Engine::new(&cfg).run_traced(&schedule, &sink);
+    EventEngine::new(&cfg).run_instrumented(&schedule, &sink, &NullProbe);
+    StreamPim::new(cfg)
+        .unwrap()
+        .execute_instrumented(&schedule, &sink, &NullProbe, None);
 
     let host: Arc<Collector> = Arc::new(Collector::new());
     let runtime = Runtime::with_sink(
@@ -123,7 +125,9 @@ fn unblock_overlap_strictly_exceeds_base() {
     let (cfg, schedule) = lowered(Kernel::Gemm, 0.02);
     let overlap = |opt: OptLevel| {
         let sink = Collector::new();
-        Engine::new(&cfg.clone().with_opt(opt)).run_traced(&schedule, &sink);
+        StreamPim::new(cfg.clone().with_opt(opt))
+            .unwrap()
+            .execute_instrumented(&schedule, &sink, &NullProbe, None);
         Analysis::of(&sink.spans()).overlap_fraction
     };
     let base = overlap(OptLevel::Base);
@@ -145,8 +149,8 @@ fn disabled_tracing_changes_no_report() {
     let (cfg, schedule) = lowered(Kernel::Gemm, 0.02);
     let device = StreamPim::new(cfg).unwrap();
     let plain = device.execute(&schedule);
-    let null_traced = device.execute_traced(&schedule, &NullSink);
-    let collected = device.execute_traced(&schedule, &Collector::new());
+    let null_traced = device.execute_instrumented(&schedule, &NullSink, &NullProbe, None);
+    let collected = device.execute_instrumented(&schedule, &Collector::new(), &NullProbe, None);
     assert_eq!(plain, null_traced);
     assert_eq!(plain, collected);
 
