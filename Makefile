@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt lint doc build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments
+.PHONY: verify fmt lint doc build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments loc
 
 verify: fmt lint doc build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
 	@echo "verify: all gates passed"
@@ -97,3 +97,9 @@ perfbench-check:
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
 	$(CARGO) run --release -p pim-bench --bin experiments -- all
+
+# Non-test lines of Rust: every line of crates/*/src and src/ before its
+# file's first `#[cfg(test)]`. A size report for comparing two trees, not a
+# gate.
+loc:
+	@find crates/*/src src -name '*.rs' | sort | xargs awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n " non-test lines" }'

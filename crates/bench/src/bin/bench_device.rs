@@ -75,10 +75,12 @@ struct WideResult {
 }
 
 /// Cold pricing vs near-miss re-pricing of one submission, medianed over a
-/// shape-swept workload: `cold_ns` builds the task, lowers, and prices every
+/// shape-swept workload: `cold_ns` lowers the shape task and prices every
 /// row from scratch (the pre-cache submission path); `repriced_ns` lowers
-/// the shape-only task and replays already-priced rows through a warmed
-/// [`pim_device::PriceTable`] (the runtime's near-miss path). `ratio` is
+/// the same shape task and replays already-priced rows through a warmed
+/// [`pim_device::PriceTable`] (the runtime's near-miss path). Neither leg
+/// builds matrices; baselines recorded while `MatMul` specs still built
+/// zero matrices also count that allocation in `cold_ns`. `ratio` is
 /// `repriced_ns / cold_ns`; it is recorded, not gated (`--compare` checks
 /// only the kernel and parallel speedups).
 #[derive(Debug, Serialize, Deserialize)]
@@ -344,10 +346,10 @@ fn main() -> ExitCode {
         });
     }
 
-    // Reprice group: the runtime's near-miss submission path (shape-only
-    // lowering + memoized pricing) against the cold path (task build + full
-    // pricing), medianed over a shape-swept MatMul workload whose price
-    // table was warmed by one sibling shape.
+    // Reprice group: the runtime's near-miss submission path (lowering +
+    // memoized pricing) against the cold path (lowering + full pricing),
+    // medianed over a shape-swept MatMul workload whose price table was
+    // warmed by one sibling shape.
     let reprice = {
         use pim_device::{PriceTable, StreamPim, StreamPimConfig};
         use pim_workloads::WorkloadSpec;
@@ -362,7 +364,7 @@ fn main() -> ExitCode {
         let (rep_iters, rep_samples) = if smoke { (2, 3) } else { (20, 7) };
         let cold_ns = median_ns(rep_iters, rep_samples, || {
             for spec in &shapes {
-                let schedule = spec.build_task().lower(&device).expect("lowers");
+                let schedule = spec.shape_task().lower(&device).expect("lowers");
                 black_box(device.execute(&schedule));
             }
         });

@@ -7,10 +7,10 @@ use crate::cpu::CpuModel;
 use crate::gpu::GpuModel;
 use pim_device::report::ExecReport;
 use pim_device::schedule::Schedule;
-use pim_device::task::PimTask;
+use pim_device::task::ShapeTask;
 use pim_device::{Parallelism, PimError, PriceTable, StreamPim, StreamPimConfig};
 use pim_trace::{NullSink, Phase, Span, TraceSink, Track};
-use pim_workloads::dnn::DnnModel;
+use pim_workloads::dnn::{matmul_task, DnnModel};
 use pim_workloads::polybench::KernelInstance;
 use pim_workloads::profile::KernelProfile;
 use pim_workloads::spec::WorkloadSpec;
@@ -70,25 +70,27 @@ impl std::fmt::Display for PlatformKind {
     }
 }
 
-/// A workload in both representations the platforms consume.
+/// A workload in both representations the platforms consume. Platforms
+/// only price, so neither holds matrix data.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Workload name.
     pub name: String,
     /// Host-side characterization (CPU/GPU platforms).
     pub profile: KernelProfile,
-    /// PIM task (PIM platforms lower it with their own configuration).
-    pub task: PimTask,
+    /// Operation graph over matrix shapes (PIM platforms lower it with
+    /// their own configuration).
+    pub task: ShapeTask,
 }
 
 impl Workload {
-    /// Builds the workload for a polybench kernel instance (shape-only
-    /// task: full-size instances are priced, not functionally executed).
+    /// Builds the workload for a polybench kernel instance (full-size
+    /// instances are priced, not functionally executed).
     pub fn from_kernel(inst: &KernelInstance) -> Self {
         Workload {
             name: inst.kernel.name().to_string(),
             profile: inst.profile(),
-            task: inst.build_task(None).task,
+            task: inst.build_task(None).task.shape_task().clone(),
         }
     }
 
@@ -97,7 +99,7 @@ impl Workload {
         Workload {
             name: model.name.clone(),
             profile: model.offload_profile(),
-            task: model.build_task(),
+            task: matmul_task(&model.matmuls),
         }
     }
 
@@ -107,7 +109,7 @@ impl Workload {
         Workload {
             name: spec.name(),
             profile: spec.profile(),
-            task: spec.build_task(),
+            task: spec.shape_task(),
         }
     }
 }
@@ -301,9 +303,6 @@ impl Platform {
                 let lowered;
                 let s = match schedule {
                     Some(s) => s,
-                    // `PimTask::price` is exactly lower-then-execute, so
-                    // lowering here keeps the traced and untraced paths
-                    // byte-identical.
                     None => {
                         lowered = workload.task.lower(device)?;
                         &lowered

@@ -4,9 +4,9 @@ use crate::interconnect::{price_collective, InterconnectReport, LinkLoad};
 use crate::partition::{data_shards, pipeline_stages};
 use crate::topology::ClusterConfig;
 use pim_baselines::{add_pim_static_power, PIM_STATIC_W};
-use pim_device::{ExecReport, MatrixOp, Parallelism, PimError, Result, ShapeTask, StreamPim};
+use pim_device::{ExecReport, Parallelism, PimError, Result, StreamPim};
 use pim_trace::{Collector, Event, Span, TraceSink};
-use pim_workloads::dnn::MatMulShape;
+use pim_workloads::dnn::{matmul_task, MatMulShape};
 use pim_workloads::spec::WorkloadSpec;
 use rm_core::shard::{map_sharded, BufferProbe};
 use rm_core::{EnergyBreakdown, OpCounters, Probe, ProbeSample, TimeBreakdown};
@@ -451,7 +451,7 @@ impl Cluster {
             // Each lane prices serially: the cluster's thread budget is
             // spent one lane per device, not nested inside the engine.
             let device = StreamPim::new(config.clone())?.with_parallelism(Parallelism::Serial);
-            let schedule = shard_task(shard)?.lower(&device)?;
+            let schedule = matmul_task(shard).lower(&device)?;
             let collector = Collector::new();
             let buffer = BufferProbe::new();
             let lane_sink: &dyn TraceSink = if traced {
@@ -585,18 +585,6 @@ fn matmul_shapes(workload: &WorkloadSpec) -> Result<Vec<MatMulShape>> {
             workload.name()
         ))),
     }
-}
-
-/// Builds the shape-only task for one device's matmul list.
-fn shard_task(shapes: &[MatMulShape]) -> Result<ShapeTask> {
-    let mut task = ShapeTask::new();
-    for s in shapes {
-        let a = task.add_shape(s.m, s.k)?;
-        let b = task.add_shape(s.k, s.n)?;
-        let dst = task.add_shape(s.m, s.n)?;
-        task.add_operation(MatrixOp::MatMul { a, b, dst })?;
-    }
-    Ok(task)
 }
 
 /// Replicates a report `k` times (identical batch items).

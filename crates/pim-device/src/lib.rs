@@ -16,7 +16,8 @@
 //! * [`engine`] — the analytic execution engine that prices a schedule in
 //!   nanoseconds and picojoules, modelling subarray-level parallelism, the
 //!   shift-vs-read/write blocking rule, and transfer/compute overlap;
-//! * [`task`] — the `PimTask` programming interface (paper Figure 16) plus
+//! * [`task`] — the `PimTask` programming interface (paper Figure 16): a
+//!   `ShapeTask` operation graph, which lowers, plus the matrices for
 //!   functionally-correct execution of the matrix operations;
 //! * [`device`] — [`device::StreamPim`]: configuration + entry points;
 //! * [`report`] — execution reports (time/energy breakdowns);

@@ -4,7 +4,9 @@
 //! once the whole computation graph is known — chooses placement, lowers
 //! every operation to rounds of Vector Processing Commands with the
 //! configured `distribute`/`unblock` optimizations, prices the schedule on
-//! the device, and computes the functional results.
+//! the device, and computes the functional results. The operation graph
+//! without the matrices is a [`ShapeTask`]; lowering reads only that, so a
+//! task that is only priced never needs its matrices.
 //!
 //! ## Lowering rules (validated against the paper's Table IV)
 //!
@@ -31,7 +33,7 @@ use crate::vpc::{VecRef, Vpc};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
-/// Handle to a matrix registered with a [`PimTask`].
+/// Handle to a matrix registered with a [`ShapeTask`] or [`PimTask`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MatHandle(usize);
 
@@ -126,15 +128,12 @@ impl TaskOutcome {
     }
 }
 
-/// A shape-only view of a task: matrix dimensions plus operations, with no
+/// A task's computation graph: matrix dimensions plus operations, with no
 /// element data.
 ///
-/// Lowering depends only on operand shapes, so a `ShapeTask` produces a
-/// [`Schedule`] **identical** to the [`PimTask`] it mirrors — `PimTask::lower`
-/// delegates here, making this the single source of truth for lowering. The
-/// runtime's incremental re-pricing path uses it to price a near-miss request
-/// (same computation graph, different dimensions) without allocating the
-/// matrices or cloning element data.
+/// Lowering depends only on operand shapes, so this type checks shapes and
+/// lowers. A [`PimTask`] is a `ShapeTask` plus the matrices it computes on;
+/// workloads that are only priced are built as a `ShapeTask` directly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShapeTask {
     shapes: Vec<(usize, usize)>,
@@ -158,8 +157,7 @@ impl ShapeTask {
         Ok(MatHandle(self.shapes.len() - 1))
     }
 
-    /// Appends an operation, with the same shape checking as
-    /// [`PimTask::add_operation`].
+    /// Appends an operation (paper's `task.add_operation`).
     ///
     /// # Errors
     ///
@@ -203,15 +201,6 @@ impl ShapeTask {
             self.lower_op(op, &placement, &ids, banks, &mut schedule);
         }
         Ok(schedule)
-    }
-
-    /// Lowers and prices the task on `device` without functional execution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::EmptyTask`] if no operations were added.
-    pub fn price(&self, device: &StreamPim) -> Result<ExecReport> {
-        Ok(device.execute(&self.lower(device)?))
     }
 
     fn lower_op(
@@ -490,8 +479,8 @@ fn check_op_shapes(shapes: &[(usize, usize)], op: MatrixOp) -> Result<()> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PimTask {
+    graph: ShapeTask,
     matrices: Vec<Matrix>,
-    ops: Vec<MatrixOp>,
 }
 
 impl PimTask {
@@ -507,8 +496,9 @@ impl PimTask {
     /// Currently infallible; returns `Result` for forward compatibility
     /// with device-side allocation limits.
     pub fn add_matrix(&mut self, m: &Matrix) -> Result<MatHandle> {
+        let (rows, cols) = m.shape();
         self.matrices.push(m.clone());
-        Ok(MatHandle(self.matrices.len() - 1))
+        self.graph.add_shape(rows, cols)
     }
 
     /// Registers a zero-initialized output matrix.
@@ -524,44 +514,33 @@ impl PimTask {
     ///
     /// # Errors
     ///
-    /// Returns [`PimError::UnknownMatrix`] for foreign handles or
-    /// [`PimError::ShapeMismatch`] for incompatible operand shapes.
+    /// See [`ShapeTask::add_operation`].
     pub fn add_operation(&mut self, op: MatrixOp) -> Result<()> {
-        self.check_shapes(op)?;
-        self.ops.push(op);
-        Ok(())
+        self.graph.add_operation(op)
     }
 
     /// Number of queued operations.
     pub fn operation_count(&self) -> usize {
-        self.ops.len()
+        self.graph.operation_count()
     }
 
-    /// The shape-only view of this task. Lowering the returned
-    /// [`ShapeTask`] yields a schedule identical to [`Self::lower`].
-    pub fn shape_task(&self) -> ShapeTask {
-        ShapeTask {
-            shapes: self.matrices.iter().map(|m| m.shape()).collect(),
-            ops: self.ops.clone(),
-        }
+    /// The task's computation graph, without element data.
+    pub fn shape_task(&self) -> &ShapeTask {
+        &self.graph
     }
 
     /// Lowers the task to a schedule for `device` without running it
-    /// (useful for trace statistics, Table IV).
-    ///
-    /// Delegates to [`ShapeTask::lower`] — lowering reads only operand
-    /// shapes, never element data.
+    /// (useful for trace statistics, Table IV). See [`ShapeTask::lower`].
     ///
     /// # Errors
     ///
     /// Returns [`PimError::EmptyTask`] if no operations were added.
     pub fn lower(&self, device: &StreamPim) -> Result<Schedule> {
-        self.shape_task().lower(device)
+        self.graph.lower(device)
     }
 
     /// Lowers and prices the task on `device` *without* functional
-    /// execution — the path used by full-size experiments, where only
-    /// shapes matter and host-side matrix arithmetic would dominate.
+    /// execution.
     ///
     /// # Errors
     ///
@@ -581,7 +560,7 @@ impl PimTask {
         let report = device.execute(&schedule);
         // Functional execution in program order.
         let mut matrices = self.matrices.clone();
-        for &op in &self.ops {
+        for &op in &self.graph.ops {
             match op {
                 MatrixOp::MatMul { a, b, dst } => {
                     matrices[dst.0] = matrices[a.0].matmul(&matrices[b.0]);
@@ -611,11 +590,6 @@ impl PimTask {
             report,
             schedule,
         })
-    }
-
-    fn check_shapes(&self, op: MatrixOp) -> Result<()> {
-        let shapes: Vec<(usize, usize)> = self.matrices.iter().map(|m| m.shape()).collect();
-        check_op_shapes(&shapes, op)
     }
 }
 

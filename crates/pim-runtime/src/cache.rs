@@ -174,7 +174,7 @@ mod tests {
 
     fn lower(spec: &WorkloadSpec, cfg: &StreamPimConfig) -> Result<Schedule, PimError> {
         let device = StreamPim::new(cfg.clone())?;
-        spec.build_task().lower(&device)
+        spec.shape_task().lower(&device)
     }
 
     #[test]

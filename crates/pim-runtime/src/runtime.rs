@@ -488,8 +488,8 @@ impl Runtime {
             ..CacheDisposition::default()
         };
         let probe_start = Instant::now();
-        // Lowering reads only shapes (see `ShapeTask`), so the cached path
-        // never materializes the workload's matrices at all.
+        // Lowering reads only shapes (see `ShapeTask`), so a miss needs the
+        // spec's shape task, not a whole `Workload`.
         let (schedule, hit) = match self.cache.get_or_lower(key, || {
             job.workload
                 .shape_task()

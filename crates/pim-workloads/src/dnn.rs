@@ -10,8 +10,7 @@
 //! why BERT's end-to-end gain (4.49x) is far below MLP's (54.77x).
 
 use crate::profile::KernelProfile;
-use pim_device::matrix::Matrix;
-use pim_device::task::{MatrixOp, PimTask};
+use pim_device::task::{MatrixOp, ShapeTask};
 use serde::{Deserialize, Serialize};
 
 /// A matrix multiplication of shape `(m x k) * (k x n)`.
@@ -30,6 +29,23 @@ impl MatMulShape {
     pub fn flops(&self) -> f64 {
         2.0 * self.m as f64 * self.k as f64 * self.n as f64
     }
+}
+
+/// The task of a list of independent matrix multiplications, in list order:
+/// one `MatMul` over freshly registered `A`, `B` and `C` shapes per entry.
+/// This is how every matmul-list workload is priced (DNN models, raw
+/// `MatMul` specs and cluster shards), so equal lists lower to identical
+/// schedules wherever they are built.
+pub fn matmul_task(shapes: &[MatMulShape]) -> ShapeTask {
+    let mut task = ShapeTask::new();
+    for s in shapes {
+        let a = task.add_shape(s.m, s.k).expect("shapes register");
+        let b = task.add_shape(s.k, s.n).expect("shapes register");
+        let dst = task.add_shape(s.m, s.n).expect("shapes register");
+        task.add_operation(MatrixOp::MatMul { a, b, dst })
+            .expect("operand shapes agree by construction");
+    }
+    task
 }
 
 /// A DNN inference workload characterized for offload.
@@ -124,26 +140,6 @@ impl DnnModel {
         self.matmuls.iter().map(MatMulShape::flops).sum()
     }
 
-    /// Builds the PIM task for the offloaded portion (zeros data:
-    /// shape-only pricing).
-    pub fn build_task(&self) -> PimTask {
-        let mut task = PimTask::new();
-        for shape in &self.matmuls {
-            let a = task
-                .add_matrix(&Matrix::zeros(shape.m, shape.k))
-                .expect("shapes are consistent");
-            let b = task
-                .add_matrix(&Matrix::zeros(shape.k, shape.n))
-                .expect("shapes are consistent");
-            let dst = task
-                .add_output(shape.m, shape.n)
-                .expect("shapes are consistent");
-            task.add_operation(MatrixOp::MatMul { a, b, dst })
-                .expect("shapes are consistent");
-        }
-        task
-    }
-
     /// Host-side profile of the offloadable portion (for pricing the same
     /// work on CPU/GPU baselines).
     pub fn offload_profile(&self) -> KernelProfile {
@@ -198,7 +194,7 @@ mod tests {
         use pim_device::{StreamPim, StreamPimConfig};
         let device = StreamPim::new(StreamPimConfig::paper_default()).unwrap();
         for model in [DnnModel::mlp(), DnnModel::bert()] {
-            let schedule = model.build_task().lower(&device).unwrap();
+            let schedule = matmul_task(&model.matmuls).lower(&device).unwrap();
             assert!(schedule.counts().pim > 0, "{}", model.name);
         }
     }

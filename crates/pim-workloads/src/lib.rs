@@ -4,9 +4,13 @@
 //! two end-to-end DNN inferences (MLP, BERT). This crate builds those
 //! workloads in two coupled representations:
 //!
-//! * a [`pim_device::PimTask`] — the PIM-side command stream, lowered with
-//!   the paper's `distribute`/`unblock` optimizations (the per-kernel VPC
-//!   counts are validated against Table IV by this crate's tests);
+//! * a [`pim_device::ShapeTask`] — the PIM-side operation graph over matrix
+//!   shapes, lowered with the paper's `distribute`/`unblock` optimizations
+//!   (the per-kernel VPC counts are validated against Table IV by this
+//!   crate's tests). [`WorkloadSpec::shape_task`] builds it for any
+//!   workload; a polybench kernel can also be built as a
+//!   [`pim_device::PimTask`] with seeded matrices for functional runs
+//!   ([`KernelInstance::build_task`]);
 //! * a [`profile::KernelProfile`] — flop/byte/working-set characterization
 //!   consumed by the CPU/GPU/DRAM baseline models.
 //!

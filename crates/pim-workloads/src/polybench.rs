@@ -215,13 +215,11 @@ pub struct KernelInstance {
     dims: Dims,
 }
 
-/// The matrices a kernel builder produced, with the output handle last.
+/// A kernel's task and the handle of its primary output.
 #[derive(Debug, Clone)]
 pub struct BuiltKernel {
     /// The populated task, ready to lower/price/run.
     pub task: PimTask,
-    /// Handles of the input matrices, in definition order.
-    pub inputs: Vec<MatHandle>,
     /// Handle of the primary output.
     pub output: MatHandle,
 }
@@ -266,11 +264,7 @@ impl KernelInstance {
                     dst: e,
                 })
                 .unwrap();
-                BuiltKernel {
-                    task,
-                    inputs: vec![a, b, c, dd],
-                    output: e,
-                }
+                BuiltKernel { task, output: e }
             }
             Kernel::ThreeMm => {
                 let a = add(gen(d.ni, d.nk, 1));
@@ -290,11 +284,7 @@ impl KernelInstance {
                 .unwrap();
                 task.add_operation(MatrixOp::MatMul { a: e, b: f, dst: g })
                     .unwrap();
-                BuiltKernel {
-                    task,
-                    inputs: vec![a, b, c, dd],
-                    output: g,
-                }
+                BuiltKernel { task, output: g }
             }
             Kernel::Gemm => {
                 let a = add(gen(d.ni, d.nk, 1));
@@ -312,11 +302,7 @@ impl KernelInstance {
                     dst: out,
                 })
                 .unwrap();
-                BuiltKernel {
-                    task,
-                    inputs: vec![a, b, c],
-                    output: out,
-                }
+                BuiltKernel { task, output: out }
             }
             Kernel::Syrk => {
                 let a_mat = gen(d.ni, d.nk, 1);
@@ -340,11 +326,7 @@ impl KernelInstance {
                     dst: out,
                 })
                 .unwrap();
-                BuiltKernel {
-                    task,
-                    inputs: vec![a, atr, c],
-                    output: out,
-                }
+                BuiltKernel { task, output: out }
             }
             Kernel::Syr2k => {
                 let a_mat = gen(d.ni, d.nk, 1);
@@ -382,11 +364,7 @@ impl KernelInstance {
                     dst: out,
                 })
                 .unwrap();
-                BuiltKernel {
-                    task,
-                    inputs: vec![a, b, c],
-                    output: out,
-                }
+                BuiltKernel { task, output: out }
             }
             Kernel::Atax => {
                 let a_mat = gen(d.ni, d.nj, 1);
@@ -403,11 +381,7 @@ impl KernelInstance {
                     dst: y,
                 })
                 .unwrap();
-                BuiltKernel {
-                    task,
-                    inputs: vec![a, x],
-                    output: y,
-                }
+                BuiltKernel { task, output: y }
             }
             Kernel::Bicg => {
                 let a_mat = gen(d.ni, d.nj, 1);
@@ -425,11 +399,7 @@ impl KernelInstance {
                     dst: s,
                 })
                 .unwrap();
-                BuiltKernel {
-                    task,
-                    inputs: vec![a, p, r],
-                    output: q,
-                }
+                BuiltKernel { task, output: q }
             }
             Kernel::Gesummv => {
                 let a = add(gen(d.ni, d.nj, 1));
@@ -450,11 +420,7 @@ impl KernelInstance {
                     dst: y,
                 })
                 .unwrap();
-                BuiltKernel {
-                    task,
-                    inputs: vec![a, b, x],
-                    output: y,
-                }
+                BuiltKernel { task, output: y }
             }
             Kernel::Mvt => {
                 let a_mat = gen(d.ni, d.nj, 1);
@@ -488,11 +454,7 @@ impl KernelInstance {
                     dst: o2,
                 })
                 .unwrap();
-                BuiltKernel {
-                    task,
-                    inputs: vec![a, x1, x2, y1, y2],
-                    output: o1,
-                }
+                BuiltKernel { task, output: o1 }
             }
         }
     }

@@ -3,19 +3,20 @@
 //! A [`WorkloadSpec`] names a workload by value — a polybench kernel at a
 //! scale, a DNN model, or a raw matrix-multiply shape — without holding any
 //! built matrices. Specs are `Eq + Hash` and round-trip through JSON, so
-//! they can key schedule caches and travel in job requests; the heavyweight
-//! [`PimTask`]/[`KernelProfile`] representations are built on demand.
+//! they can key schedule caches and travel in job requests. The two forms
+//! the platforms consume are built on demand: the [`ShapeTask`] the PIM
+//! platforms lower, which holds shapes but no matrices, and the
+//! [`KernelProfile`] the host models price.
 //!
 //! Scale is stored in parts-per-million ([`WorkloadSpec::polybench`]) rather
 //! than as `f64` precisely so the spec stays `Eq + Hash`: two jobs naming
 //! the same kernel at the same scale compare equal and cache-collide, which
 //! is the point.
 
-use crate::dnn::DnnModel;
-use crate::matrix::Matrix;
-use crate::polybench::Kernel;
+use crate::dnn::{matmul_task, DnnModel, MatMulShape};
+use crate::polybench::{Kernel, KernelInstance};
 use crate::profile::KernelProfile;
-use pim_device::task::{PimTask, ShapeTask};
+use pim_device::task::ShapeTask;
 use serde::{Deserialize, Serialize};
 
 /// The DNN models of the paper's §V-E evaluation.
@@ -102,35 +103,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Builds the PIM task (shape-only: matrices are zeros, as pricing only
-    /// consumes shapes).
-    pub fn build_task(&self) -> PimTask {
-        match self {
-            WorkloadSpec::Polybench { kernel, scale_ppm } => {
-                let inst = if *scale_ppm == 1_000_000 {
-                    kernel.paper_instance()
-                } else {
-                    kernel.scaled(*scale_ppm as f64 / 1e6)
-                };
-                inst.build_task(None).task
-            }
-            WorkloadSpec::Dnn { model } => model.model().build_task(),
-            WorkloadSpec::MatMul { m, k, n } => {
-                let mut task = PimTask::new();
-                let a = task
-                    .add_matrix(&Matrix::zeros(*m, *k))
-                    .expect("matmul shapes are consistent");
-                let b = task
-                    .add_matrix(&Matrix::zeros(*k, *n))
-                    .expect("matmul shapes are consistent");
-                let dst = task.add_output(*m, *n).expect("matmul output fits");
-                task.add_operation(pim_device::task::MatrixOp::MatMul { a, b, dst })
-                    .expect("operand shapes agree");
-                task
-            }
-        }
-    }
-
     /// A dimension-blind discriminant of the workload's computation-graph
     /// shape: two specs share a shape class exactly when they build the
     /// same DAG of operations over (possibly) differently-sized matrices.
@@ -146,26 +118,18 @@ impl WorkloadSpec {
         }
     }
 
-    /// Builds the shape-only view of the task: the same operation graph
-    /// with matrix dimensions but no element data.
-    ///
-    /// Lowering a `ShapeTask` yields a schedule identical to lowering
-    /// [`Self::build_task`]'s result (see [`ShapeTask`]); for `MatMul` specs
-    /// the shape task is assembled directly, skipping the zero-matrix
-    /// allocations entirely — the fast path the runtime's near-miss
-    /// re-pricing rides on.
+    /// Builds the workload's task: its operation graph over matrix
+    /// dimensions, with no element data. This is the one way a spec becomes
+    /// a task; every PIM platform lowers it under its own configuration.
     pub fn shape_task(&self) -> ShapeTask {
-        match self {
-            WorkloadSpec::MatMul { m, k, n } => {
-                let mut task = ShapeTask::new();
-                let a = task.add_shape(*m, *k).expect("matmul shapes register");
-                let b = task.add_shape(*k, *n).expect("matmul shapes register");
-                let dst = task.add_shape(*m, *n).expect("matmul output registers");
-                task.add_operation(pim_device::task::MatrixOp::MatMul { a, b, dst })
-                    .expect("operand shapes agree");
-                task
-            }
-            _ => self.build_task().shape_task(),
+        match *self {
+            WorkloadSpec::Polybench { kernel, scale_ppm } => instance(kernel, scale_ppm)
+                .build_task(None)
+                .task
+                .shape_task()
+                .clone(),
+            WorkloadSpec::Dnn { model } => matmul_task(&model.model().matmuls),
+            WorkloadSpec::MatMul { m, k, n } => matmul_task(&[MatMulShape { m, k, n }]),
         }
     }
 
@@ -173,12 +137,7 @@ impl WorkloadSpec {
     pub fn profile(&self) -> KernelProfile {
         match self {
             WorkloadSpec::Polybench { kernel, scale_ppm } => {
-                let inst = if *scale_ppm == 1_000_000 {
-                    kernel.paper_instance()
-                } else {
-                    kernel.scaled(*scale_ppm as f64 / 1e6)
-                };
-                inst.profile()
+                instance(*kernel, *scale_ppm).profile()
             }
             WorkloadSpec::Dnn { model } => model.model().offload_profile(),
             WorkloadSpec::MatMul { m, k, n } => {
@@ -195,6 +154,15 @@ impl WorkloadSpec {
                 }
             }
         }
+    }
+}
+
+/// The kernel instance a polybench spec names.
+fn instance(kernel: Kernel, scale_ppm: u32) -> KernelInstance {
+    if scale_ppm == 1_000_000 {
+        kernel.paper_instance()
+    } else {
+        kernel.scaled(scale_ppm as f64 / 1e6)
     }
 }
 
@@ -233,37 +201,20 @@ mod tests {
     }
 
     #[test]
-    fn build_task_matches_kernel_builder() {
+    fn shape_task_matches_kernel_builder() {
         let spec = WorkloadSpec::polybench(Kernel::Gemm, 0.02);
         let direct = Kernel::Gemm.scaled(0.02).build_task(None).task;
-        let from_spec = spec.build_task();
-        assert_eq!(direct.operation_count(), from_spec.operation_count());
+        assert_eq!(&spec.shape_task(), direct.shape_task());
     }
 
     #[test]
     fn matmul_spec_builds_and_profiles() {
         let spec = WorkloadSpec::MatMul { m: 16, k: 8, n: 12 };
-        assert_eq!(spec.build_task().operation_count(), 1);
+        assert_eq!(spec.shape_task().operation_count(), 1);
         let p = spec.profile();
         assert_eq!(p.flops, 2.0 * 16.0 * 8.0 * 12.0);
         assert!(p.bytes > 0.0);
         assert_eq!(spec.name(), "matmul_16x8x12");
-    }
-
-    #[test]
-    fn shape_task_lowers_identically_to_built_task() {
-        let dev = pim_device::StreamPim::new(pim_device::StreamPimConfig::paper_default()).unwrap();
-        let specs = [
-            WorkloadSpec::MatMul { m: 24, k: 16, n: 8 },
-            WorkloadSpec::polybench(Kernel::Gemm, 0.02),
-            WorkloadSpec::polybench(Kernel::Atax, 0.02),
-            WorkloadSpec::dnn(DnnKind::Mlp),
-        ];
-        for spec in specs {
-            let from_task = spec.build_task().lower(&dev).unwrap();
-            let from_shapes = spec.shape_task().lower(&dev).unwrap();
-            assert_eq!(from_task, from_shapes, "{}", spec.name());
-        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = WorkloadSpec::polybench(kernel, scale);
     let cfg = StreamPimConfig::paper_default();
     let device = StreamPim::new(cfg.clone())?;
-    let schedule = spec.build_task().lower(&device)?;
+    let schedule = spec.shape_task().lower(&device)?;
     println!(
         "kernel {} at scale {scale}: {} VPCs in {} rounds",
         kernel.name(),

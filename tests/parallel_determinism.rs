@@ -35,7 +35,7 @@ fn worker_counts() -> Vec<usize> {
 
 fn lowered(kernel: Kernel, device: &StreamPim) -> Schedule {
     WorkloadSpec::polybench(kernel, 0.02)
-        .build_task()
+        .shape_task()
         .lower(device)
         .expect("kernel lowers")
 }

@@ -20,7 +20,7 @@ fn lowered(kernel: Kernel, scale: f64) -> (StreamPimConfig, Schedule) {
     let cfg = StreamPimConfig::paper_default();
     let device = StreamPim::new(cfg.clone()).unwrap();
     let schedule = WorkloadSpec::polybench(kernel, scale)
-        .build_task()
+        .shape_task()
         .lower(&device)
         .unwrap();
     (cfg, schedule)
