@@ -18,8 +18,9 @@
 //! machines where absolute ns/op do not. The default tolerance (60%) is
 //! deliberately loose: it rides through sampling noise and CI-runner
 //! variation but still catches a packed kernel collapsing to scalar speed.
-//! The `parallel` group is never gated: its speedups depend on the core
-//! count of the machine at hand.
+//! The `parallel` group's speedups depend on the core count of the machine
+//! at hand, so they are gated only against a baseline from a host with the
+//! same thread count, and never on a 1-thread host.
 
 use pim_device::flow::DeviceFlow;
 use pim_device::Parallelism;
@@ -93,7 +94,8 @@ struct RepriceResult {
 
 /// One intra-run parallelism measurement: the same `DeviceFlow` workload
 /// under `threads` workers vs serial, on a machine that reported
-/// `available_parallelism` hardware threads.
+/// `available_parallelism` hardware threads. The legs are sampled
+/// interleaved; each `*_spread` is that leg's (max − min) / median.
 #[derive(Debug, Serialize, Deserialize)]
 struct ParallelResult {
     name: String,
@@ -102,6 +104,8 @@ struct ParallelResult {
     serial_ns: f64,
     parallel_ns: f64,
     speedup: f64,
+    serial_spread: f64,
+    parallel_spread: f64,
 }
 
 /// The whole report (`BENCH_device.json`).
@@ -118,19 +122,25 @@ struct Report {
     parallel: Vec<ParallelResult>,
 }
 
+/// Mean ns per call of `iters` calls to `op`.
+fn sample_ns<F: FnMut()>(iters: u64, op: &mut F) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        op();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Median and spread ((max − min) / median) of per-sample timings.
+fn median_spread(mut times: Vec<f64>) -> (f64, f64) {
+    times.sort_by(f64::total_cmp);
+    let median = times[times.len() / 2];
+    (median, (times[times.len() - 1] - times[0]) / median)
+}
+
 /// Median of `samples` timings of `iters` calls to `op`, in ns per call.
 fn median_ns<F: FnMut()>(iters: u64, samples: usize, mut op: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                op();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[samples / 2]
+    median_spread((0..samples).map(|_| sample_ns(iters, &mut op)).collect()).0
 }
 
 fn main() -> ExitCode {
@@ -391,10 +401,18 @@ fn main() -> ExitCode {
     // intra-run worker threads. Gated by --compare only when the baseline
     // ran with the same hardware thread count: the speedup is a property
     // of the machine's core count, which is why each entry records
-    // `available_parallelism` next to `threads`.
+    // `available_parallelism` next to `threads`. The legs are interleaved
+    // sample by sample (serial, x2, x4, x8 each round), so a burst of
+    // hypervisor steal lands on every leg alike rather than on one leg's
+    // block of samples. The group starts after an idle pause: straight
+    // after the full-mode kernel groups, flow_gemm x2 read 0.9-1.0x on a
+    // quiet 2-vCPU host, where smoke runs and full runs with a pause of
+    // 250 ms or more read 1.3-1.5x.
+    std::thread::sleep(std::time::Duration::from_millis(500));
     let host = HostEnv::current();
     let available = host.available_parallelism;
-    let (par_iters, par_samples) = if smoke { (1, 3) } else { (4, 7) };
+    let (par_iters, par_samples) = if smoke { (2, 25) } else { (2, 49) };
+    const THREADS: [usize; 3] = [2, 4, 8];
     let mut parallel = Vec::new();
     {
         let (m, k, n) = (16usize, 32usize, 4usize);
@@ -418,13 +436,18 @@ fn main() -> ExitCode {
         ];
         for (name, mut run) in workloads {
             let mut flow = DeviceFlow::new(8).expect("flow builds");
-            let serial_ns = median_ns(par_iters, par_samples, || {
-                run(&mut flow, Parallelism::Serial);
-            });
-            for threads in [2usize, 4, 8] {
-                let parallel_ns = median_ns(par_iters, par_samples, || {
-                    run(&mut flow, Parallelism::Threads(threads));
-                });
+            let levels: Vec<Parallelism> = std::iter::once(Parallelism::Serial)
+                .chain(THREADS.map(Parallelism::Threads))
+                .collect();
+            let mut legs = vec![Vec::with_capacity(par_samples); levels.len()];
+            for _ in 0..par_samples {
+                for (leg, &level) in legs.iter_mut().zip(&levels) {
+                    leg.push(sample_ns(par_iters, &mut || run(&mut flow, level)));
+                }
+            }
+            let mut legs = legs.into_iter().map(median_spread);
+            let (serial_ns, serial_spread) = legs.next().expect("serial leg");
+            for (threads, (parallel_ns, parallel_spread)) in THREADS.into_iter().zip(legs) {
                 parallel.push(ParallelResult {
                     name: name.into(),
                     threads,
@@ -432,6 +455,8 @@ fn main() -> ExitCode {
                     serial_ns,
                     parallel_ns,
                     speedup: serial_ns / parallel_ns,
+                    serial_spread,
+                    parallel_spread,
                 });
             }
         }
@@ -472,11 +497,17 @@ fn main() -> ExitCode {
         "near-miss re-pricing over {} swept shapes: cold {:>10.1} ns   repriced {:>10.1} ns   {:.2}x",
         report.reprice.shapes, report.reprice.cold_ns, report.reprice.repriced_ns, report.reprice.ratio
     );
-    println!("intra-run parallel flow (machine has {available} hardware threads):");
+    println!("intra-run parallel flow (machine has {available} hardware threads; legs interleaved, spread = (max - min) / median):");
     for p in &report.parallel {
         println!(
-            "  {:<10} x{:<2} serial {:>10.1} ns/op   parallel {:>10.1} ns/op   {:>5.2}x",
-            p.name, p.threads, p.serial_ns, p.parallel_ns, p.speedup
+            "  {:<10} x{:<2} serial {:>10.1} ns/op (spread {:>4.0}%)   parallel {:>10.1} ns/op (spread {:>4.0}%)   {:>5.2}x",
+            p.name,
+            p.threads,
+            p.serial_ns,
+            p.serial_spread * 100.0,
+            p.parallel_ns,
+            p.parallel_spread * 100.0,
+            p.speedup
         );
     }
     println!("wrote {out_path}");

@@ -187,10 +187,11 @@ impl Platform {
         Ok(p)
     }
 
-    /// Variant with a different intra-run [`Parallelism`] level on the
-    /// embedded StreamPIM device; a no-op for every other platform (their
-    /// models are closed-form). Simulated results are byte-identical at
-    /// every level — only the simulation's wall-clock changes.
+    /// Variant with a different intra-run [`Parallelism`] level stored on
+    /// the embedded StreamPIM device; a no-op for every other platform
+    /// (their models are closed-form). The level does not steer pricing,
+    /// which is one serial pass at every level: only `DeviceFlow` and the
+    /// cluster lanes take a level, and they take their own.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         if let Inner::StreamPim(device) = &mut self.inner {
             *device = device.clone().with_parallelism(parallelism);
@@ -198,8 +199,8 @@ impl Platform {
         self
     }
 
-    /// The intra-run parallelism of the embedded StreamPIM device, or
-    /// `None` for platforms without one.
+    /// The intra-run parallelism level stored on the embedded StreamPIM
+    /// device, or `None` for platforms without one.
     pub fn parallelism(&self) -> Option<Parallelism> {
         match &self.inner {
             Inner::StreamPim(device) => Some(device.parallelism()),
@@ -360,7 +361,7 @@ impl Platform {
     /// `device/peripherals` sample) are byte-identical to a cold
     /// instrumented run at any table state — this is what lets the serving
     /// flight recorder observe every request on the memoized fast path.
-    /// The rows priced fresh this run are the table's
+    /// The keys priced fresh this run are the table's
     /// [`PriceTable::misses`] delta.
     ///
     /// Takes no [`Workload`], so callers holding a cached schedule never

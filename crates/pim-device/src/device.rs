@@ -48,7 +48,9 @@ impl OptLevel {
 /// and are byte-identical to serial), only the wall-clock time of the
 /// simulation itself. It therefore lives on [`StreamPim`] rather than in
 /// [`StreamPimConfig`], keeping config fingerprints, cache keys, and the
-/// fidelity gate oblivious to it.
+/// fidelity gate oblivious to it. The functional [`crate::flow::DeviceFlow`]
+/// shards its lanes by it and `pim-cluster` its device lanes; analytic
+/// pricing ([`StreamPim::execute`]) is one serial pass at every level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Parallelism {
     /// Single-threaded (the default).
@@ -75,28 +77,6 @@ impl Parallelism {
     /// [`Parallelism::resolve`] against [`host_threads`].
     pub fn resolve_here(self) -> usize {
         self.resolve(host_threads())
-    }
-
-    /// Minimum pricing rows each worker must receive before `Auto` spawns
-    /// it. Pricing one analytic row costs tens of nanoseconds while a
-    /// scoped worker thread costs tens of microseconds to spawn and join,
-    /// so the break-even shard is a few thousand rows; below it, threads
-    /// are pure overhead on small shapes (DESIGN.md §15 has the
-    /// measurement). `Serial` and `Threads(n)` are explicit demands and
-    /// bypass this heuristic.
-    pub const AUTO_MIN_ROWS_PER_WORKER: usize = 2048;
-
-    /// Worker count for a run whose hot loop has `rows` independent work
-    /// items, on a machine with `total` hardware threads. `Auto` grants
-    /// one worker per [`Parallelism::AUTO_MIN_ROWS_PER_WORKER`] rows
-    /// (capped at `total`), so small shapes run serial instead of paying
-    /// thread spawn/join for shards that finish in microseconds. Explicit
-    /// levels resolve exactly as [`Parallelism::resolve`].
-    pub fn resolve_for_rows(self, total: usize, rows: usize) -> usize {
-        match self {
-            Parallelism::Auto => (rows / Self::AUTO_MIN_ROWS_PER_WORKER).clamp(1, total.max(1)),
-            explicit => explicit.resolve(total),
-        }
     }
 }
 
@@ -222,31 +202,19 @@ impl StreamPim {
         &self.config
     }
 
-    /// Variant with a different intra-run parallelism level. Results are
-    /// byte-identical at every level; only simulation wall-clock changes.
+    /// Variant with a different intra-run parallelism level. The level is
+    /// only stored: pricing is one serial pass at every level, and no
+    /// result depends on it. [`crate::flow::DeviceFlow`] and the cluster
+    /// lanes take their own level.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
     }
 
-    /// The intra-run parallelism level of this device instance.
+    /// The intra-run parallelism level stored on this device instance.
     #[inline]
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
-    }
-
-    /// Worker threads an unmemoized run over `schedule` will use: the
-    /// device's parallelism level resolved against the machine *and* the
-    /// schedule's pricing-row count, so `Auto` declines to spawn threads for
-    /// shapes whose shards would finish faster than the threads start (see
-    /// [`Parallelism::resolve_for_rows`]).
-    fn workers(&self, schedule: &Schedule) -> usize {
-        let rows: usize = schedule
-            .rounds
-            .iter()
-            .map(|r| r.broadcasts.len() + r.collects.len() + r.computes.len())
-            .sum();
-        self.parallelism.resolve_for_rows(host_threads(), rows)
     }
 
     /// Prices a schedule on this device: the core simulation entry point.
@@ -254,12 +222,12 @@ impl StreamPim {
         self.execute_instrumented(schedule, &pim_trace::NullSink, &rm_core::NullProbe, None)
     }
 
-    /// Like [`StreamPim::execute`], but prices through a [`PriceTable`]
-    /// memo: rows already priced by an earlier run of this configuration
-    /// are replayed, only new `(kind, len)` rows are priced fresh. Returns
-    /// the report plus the number of rows priced fresh this run (the
-    /// table's [`PriceTable::misses`] delta). The report is byte-identical
-    /// to [`StreamPim::execute`] at any table state.
+    /// Like [`StreamPim::execute`], but prices through a caller-kept
+    /// [`PriceTable`] memo: keys already priced by an earlier run of this
+    /// configuration are replayed, only new `(kind, len)` keys are priced
+    /// fresh. Returns the report plus the number of keys priced fresh this
+    /// run (the table's [`PriceTable::misses`] delta). The report is
+    /// byte-identical to [`StreamPim::execute`] at any table state.
     pub fn execute_repriced(
         &self,
         schedule: &Schedule,
@@ -281,13 +249,12 @@ impl StreamPim {
     /// `device/subarray[s]` and `device/controller`, summing bit-exactly to
     /// the report's counters and energy.
     ///
-    /// Without a `table`, rows are priced inline, or pre-priced across
-    /// threads when the device's [`Parallelism`] asks for it. With one,
-    /// rows are priced serially through the memo (see
-    /// [`StreamPim::execute_repriced`]). The report, every span and every
-    /// probe sample are byte-identical across all of these, and to a run
-    /// with disabled instruments — so always-on observers (the serving
-    /// flight recorder) can ride the memoized fast path.
+    /// Each distinct `(kind, len)` key is priced once, through `table` if
+    /// one is given (see [`StreamPim::execute_repriced`]) and through a
+    /// scratch memo otherwise. The report, every span and every probe
+    /// sample are byte-identical at any table state, and to a run with
+    /// disabled instruments — so always-on observers (the serving flight
+    /// recorder) see exactly what an unobserved run prices.
     pub fn execute_instrumented(
         &self,
         schedule: &Schedule,
@@ -295,12 +262,7 @@ impl StreamPim {
         probe: &dyn rm_core::Probe,
         table: Option<&mut PriceTable>,
     ) -> ExecReport {
-        let workers = if table.is_some() {
-            1
-        } else {
-            self.workers(schedule)
-        };
-        Engine::new(&self.config).run(schedule, sink, probe, table, workers)
+        Engine::new(&self.config).run(schedule, sink, probe, table)
     }
 }
 
@@ -369,23 +331,6 @@ mod tests {
         }
         s.push(round);
         assert_eq!(serial.execute(&s), threaded.execute(&s));
-    }
-
-    #[test]
-    fn auto_falls_back_to_serial_below_row_threshold() {
-        const T: usize = Parallelism::AUTO_MIN_ROWS_PER_WORKER;
-        // Small shapes: Auto declines to spawn any workers.
-        assert_eq!(Parallelism::Auto.resolve_for_rows(8, 0), 1);
-        assert_eq!(Parallelism::Auto.resolve_for_rows(8, T), 1);
-        assert_eq!(Parallelism::Auto.resolve_for_rows(8, 2 * T - 1), 1);
-        // The cutover: two full shards' worth of rows earns two workers.
-        assert_eq!(Parallelism::Auto.resolve_for_rows(8, 2 * T), 2);
-        assert_eq!(Parallelism::Auto.resolve_for_rows(8, 5 * T), 5);
-        // Large shapes cap at the machine.
-        assert_eq!(Parallelism::Auto.resolve_for_rows(4, 100 * T), 4);
-        // Explicit levels are demands, not hints: no fallback.
-        assert_eq!(Parallelism::Serial.resolve_for_rows(8, 100 * T), 1);
-        assert_eq!(Parallelism::Threads(3).resolve_for_rows(8, 1), 3);
     }
 
     #[test]

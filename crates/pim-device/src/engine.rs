@@ -37,10 +37,12 @@ use crate::vpc::Vpc;
 use pim_trace::{Phase, Span, TraceSink, Track};
 use rm_bus::{BusModel, ElectricalBusModel};
 use rm_core::config::BusKind;
-use rm_core::{EnergyBreakdown, OpCounters, Probe, ProbeSample};
+use rm_core::{EnergyBreakdown, FnvHasher, OpCounters, Probe, ProbeSample};
 use rm_proc::{PipelineModel, ProcOp};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Scheduling-model parameters.
 ///
@@ -122,25 +124,9 @@ impl std::hash::Hash for EngineParams {
     }
 }
 
-/// One pricing request of the composition loop, in serial traversal order.
-///
-/// The composition loop consumes exactly one [`VpcCost`] per request; the
-/// request stream is a pure function of the schedule (per round: broadcast
-/// TRANs, collect TRANs, computes), which is what lets the parallel path
-/// price the whole stream up front with [`rm_core::map_sharded`] and replay
-/// it through an unchanged serial composition.
-#[derive(Debug, Clone, Copy)]
-enum PriceReq {
-    /// `tran_cost(elements)` for a TRAN of that element count.
-    Tran(u64),
-    /// `compute_cost(vpc)` for a compute VPC.
-    Compute(Vpc),
-}
-
-/// Memoization key of one pricing request: pricing is a pure function of
-/// the engine configuration, the request kind, and the operand element
-/// count — nothing else ([`Engine::compute_cost`] reads only the op kind and
-/// `len`; [`Engine::tran_cost`] only the element count). Two requests with
+/// Memoization key of one VPC's cost: pricing is a pure function of the
+/// engine configuration, the command kind, and the operand element count —
+/// nothing else ([`Engine::price`] reads only these). Two commands with
 /// equal keys therefore price to bit-identical [`VpcCost`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum PriceKey {
@@ -155,27 +141,25 @@ enum PriceKey {
 }
 
 impl PriceKey {
-    fn of(req: PriceReq) -> PriceKey {
-        match req {
-            PriceReq::Tran(elements) => PriceKey::Tran(elements),
-            PriceReq::Compute(vpc) => match vpc {
-                Vpc::Mul { src1, .. } => PriceKey::Dot(src1.len as u64),
-                Vpc::Smul { src } => PriceKey::Smul(src.len as u64),
-                Vpc::Add { src1, .. } => PriceKey::Add(src1.len as u64),
-                Vpc::Tran { len, .. } => PriceKey::Tran(len as u64),
-            },
+    fn of(vpc: &Vpc) -> PriceKey {
+        match *vpc {
+            Vpc::Mul { src1, .. } => PriceKey::Dot(src1.len as u64),
+            Vpc::Smul { src } => PriceKey::Smul(src.len as u64),
+            Vpc::Add { src1, .. } => PriceKey::Add(src1.len as u64),
+            Vpc::Tran { len, .. } => PriceKey::Tran(len as u64),
         }
     }
 }
 
-/// A memo of priced request-table rows, keyed by request kind and operand
-/// element count, for the incremental re-pricing path: when the runtime
-/// sees a cache *near-miss* — a workload with the same DAG shape as a
-/// cached one but different dimensions — it re-prices only the rows whose
-/// key is new (the shape-dependent ones) and replays every other row from
-/// the memo. Memoized costs are the exact values a cold run would compute,
-/// so the composed report is byte-identical to cold pricing; the
-/// determinism suite enforces this.
+/// A memo of VPC costs keyed by command kind and operand element count.
+/// Every run prices each distinct key once through a table: its own
+/// scratch one, or one the caller passes and keeps. The runtime keeps one
+/// per shape for its cache *near-miss* path — a workload with the same DAG
+/// shape as a cached one but different dimensions — so only keys new to
+/// the shape are priced fresh and every other command replays from the
+/// memo. Memoized costs are the exact values a cold run computes, so the
+/// composed report is byte-identical to cold pricing; the determinism
+/// suite enforces this.
 ///
 /// A table is only valid for one engine configuration: costs depend on the
 /// full [`StreamPimConfig`]. Callers (the runtime's schedule cache) key
@@ -193,24 +177,38 @@ impl PriceTable {
         PriceTable::default()
     }
 
-    /// Distinct priced rows currently held.
+    /// Distinct priced keys currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the table holds no priced rows.
+    /// Whether the table holds no priced keys.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Requests served from the memo so far (across runs).
+    /// Commands served from the memo so far (across runs).
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Requests priced fresh and inserted so far (across runs).
+    /// Commands priced fresh and inserted so far (across runs).
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// The cost of `key` under `engine`, priced and inserted on first use.
+    fn cost(&mut self, engine: &Engine, key: PriceKey) -> VpcCost {
+        match self.entries.entry(key) {
+            Entry::Occupied(hit) => {
+                self.hits += 1;
+                *hit.get()
+            }
+            Entry::Vacant(slot) => {
+                self.misses += 1;
+                *slot.insert(engine.price(key))
+            }
+        }
     }
 
     /// Merges `other` into this table. Safe whenever both tables were fed
@@ -245,7 +243,7 @@ struct VpcCost {
 }
 
 /// The analytic engine (see module docs). Crate-private: callers price
-/// through [`crate::StreamPim`], which picks the pricer.
+/// through [`crate::StreamPim`].
 #[derive(Debug, Clone)]
 pub(crate) struct Engine {
     opt: OptLevel,
@@ -301,7 +299,7 @@ impl Engine {
 
     /// Prices a schedule: the one pricing entry behind every
     /// `StreamPim::execute*` call. The priced report is identical for
-    /// every sink, probe, table state and worker count.
+    /// every sink, probe and table state.
     ///
     /// **Trace.** One phase span per round goes to `sink` (broadcast /
     /// compute / collect timelines, [`pim_trace::Phase`]). The phase
@@ -322,91 +320,44 @@ impl Engine {
     /// *occupancy* — per-component busy sums intentionally exceed the
     /// composed wall-clock time, which is derived after the fact.
     ///
-    /// **Pricing.** With a `table`, rows whose [`PriceTable`] key is
-    /// already memoized are replayed and new rows are priced serially and
-    /// inserted (`workers` is ignored); memoized costs are the exact values
-    /// a cold run computes, provided the table was only ever fed by an
-    /// engine with this configuration. Without a table, rows are priced
-    /// inline when `workers <= 1`; otherwise the whole pricing-request
-    /// stream is priced up front in serial traversal order (per round:
-    /// broadcast TRANs, collect TRANs, computes) across `workers` scoped
-    /// threads via [`rm_core::map_sharded`] and replayed by cursor. Every
-    /// path feeds the same serial composition loop, so every floating-point
-    /// addition, probe sample and trace span happens in the same order
-    /// with the same operands: reports, attribution trees and traces are
-    /// byte-identical across paths.
+    /// **Pricing.** One serial pass: each distinct [`PriceKey`] is priced
+    /// once, through `table` when one is given (keys it already holds are
+    /// replayed, new ones inserted) and through a scratch table otherwise.
+    /// A memoized cost is the exact value pricing the key computes,
+    /// provided the table was only ever fed by an engine with this
+    /// configuration, so every floating-point addition, probe sample and
+    /// trace span is the same at any table state. The per-round lane sums
+    /// and subarray loads live in buffers reused across rounds, so a run
+    /// allocates a fixed handful of times however many rounds it has.
     pub(crate) fn run(
         &self,
         schedule: &Schedule,
         sink: &dyn TraceSink,
         probe: &dyn Probe,
         table: Option<&mut PriceTable>,
-        workers: usize,
     ) -> ExecReport {
-        if let Some(table) = table {
-            return self.compose(schedule, sink, probe, &mut |req| {
-                let key = PriceKey::of(req);
-                if let Some(&cost) = table.entries.get(&key) {
+        let mut scratch = PriceTable::new();
+        let table = table.unwrap_or(&mut scratch);
+        // A round prices runs of equal keys (its broadcasts, its collects,
+        // its computes), so one cached entry in front of the table's map
+        // serves nearly every command.
+        let mut last: Option<(PriceKey, VpcCost)> = None;
+        let mut price = |vpc: &Vpc| {
+            let key = PriceKey::of(vpc);
+            match last {
+                Some((k, cost)) if k == key => {
                     table.hits += 1;
                     cost
-                } else {
-                    let cost = self.price(req);
-                    table.entries.insert(key, cost);
-                    table.misses += 1;
+                }
+                _ => {
+                    let cost = table.cost(self, key);
+                    last = Some((key, cost));
                     cost
                 }
-            });
-        }
-        if workers <= 1 {
-            return self.compose(schedule, sink, probe, &mut |req| self.price(req));
-        }
-        let reqs = self.price_requests(schedule);
-        let costs = rm_core::map_sharded(&reqs, workers, |_, req| self.price(*req));
-        let mut cursor = 0usize;
-        self.compose(schedule, sink, probe, &mut |_req| {
-            let c = costs[cursor];
-            cursor += 1;
-            c
-        })
-    }
-
-    /// Prices one request (pure in `&self`).
-    fn price(&self, req: PriceReq) -> VpcCost {
-        match req {
-            PriceReq::Tran(elements) => self.tran_cost(elements),
-            PriceReq::Compute(vpc) => self.compute_cost(&vpc),
-        }
-    }
-
-    /// The pricing-request stream of `schedule` in serial traversal order.
-    fn price_requests(&self, schedule: &Schedule) -> Vec<PriceReq> {
-        let mut reqs = Vec::new();
-        for round in &schedule.rounds {
-            for trans in [&round.broadcasts, &round.collects] {
-                for t in trans {
-                    if let Vpc::Tran { len, .. } = *t {
-                        reqs.push(PriceReq::Tran(len as u64));
-                    }
-                }
             }
-            for c in &round.computes {
-                reqs.push(PriceReq::Compute(*c));
-            }
-        }
-        reqs
-    }
+        };
 
-    /// The serial composition loop: walks the schedule, obtains each VPC's
-    /// cost from `pricer` (inline computation, a memo lookup, or a cursor
-    /// into the pre-priced table), and folds costs into the report, probe,
-    /// and trace in a single deterministic order.
-    fn compose(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
-        pricer: &mut dyn FnMut(PriceReq) -> VpcCost,
-    ) -> ExecReport {
+        let lanes = self.tran_lanes as usize;
         let mut report = ExecReport::new();
         // Accumulated compute-phase volumes (for breakdown attribution).
         let mut vol_proc = 0.0f64;
@@ -415,10 +366,17 @@ impl Engine {
         let mut vol_overlap = 0.0f64;
         // Critical-path accumulators.
         let mut compute_critical = 0.0f64; // Σ per-round compute makespans
-        let mut tran_lane_ns = vec![0.0f64; self.tran_lanes as usize];
+        let mut tran_lane_ns = vec![0.0f64; lanes];
         let mut serial_total = 0.0f64; // Base/Distribute running total
         let mut tran_clock = 0.0f64; // Unblock transfer-phase span clock
         let mut vpc_count = 0u64;
+        // Per-round buffers, cleared at the start of each round; the
+        // per-subarray loads are sized once for the widest round.
+        let mut bcast_lane = vec![0.0f64; lanes];
+        let mut collect_lane = vec![0.0f64; lanes];
+        let widest = schedule.rounds.iter().map(|r| r.computes.len()).max();
+        let mut sub_load: HashMap<u32, f64, BuildHasherDefault<FnvHasher>> =
+            HashMap::with_capacity_and_hasher(widest.unwrap_or(0), Default::default());
 
         for (round_idx, round) in schedule.rounds.iter().enumerate() {
             let repeat = round.repeat.max(1) as f64;
@@ -426,8 +384,8 @@ impl Engine {
             // Broadcasts and collects accumulate separately so the trace
             // can show them as distinct phases; the engine composition only
             // consumes their per-lane sum.
-            let mut bcast_lane = vec![0.0f64; self.tran_lanes as usize];
-            let mut collect_lane = vec![0.0f64; self.tran_lanes as usize];
+            bcast_lane.fill(0.0);
+            collect_lane.fill(0.0);
             let mut bcast_sum = 0.0;
             let mut collect_sum = 0.0;
             for (trans, lane_ns, sum) in [
@@ -435,8 +393,8 @@ impl Engine {
                 (&round.collects, &mut collect_lane, &mut collect_sum),
             ] {
                 for t in trans {
-                    if let Vpc::Tran { dst, len, .. } = *t {
-                        let cost = pricer(PriceReq::Tran(len as u64));
+                    if let Vpc::Tran { dst, .. } = *t {
+                        let cost = price(t);
                         let lane = (dst as u64 % self.tran_lanes) as usize;
                         lane_ns[lane] += cost.busy_ns;
                         *sum += cost.busy_ns;
@@ -459,19 +417,18 @@ impl Engine {
                 }
             }
             let round_tran_sum = bcast_sum + collect_sum;
-            let round_tran_lane: Vec<f64> = bcast_lane
-                .iter()
-                .zip(&collect_lane)
-                .map(|(b, c)| b + c)
-                .collect();
-            let round_tran_parallel = round_tran_lane.iter().copied().fold(0.0f64, f64::max);
-            let bcast_parallel = bcast_lane.iter().copied().fold(0.0f64, f64::max);
+            let mut round_tran_parallel = 0.0f64;
+            let mut bcast_parallel = 0.0f64;
+            for (b, c) in bcast_lane.iter().zip(&collect_lane) {
+                round_tran_parallel = round_tran_parallel.max(b + c);
+                bcast_parallel = bcast_parallel.max(*b);
+            }
 
             // --- Computes of this round -----------------------------------
-            let mut sub_load: HashMap<u32, f64> = HashMap::new();
+            sub_load.clear();
             let mut round_busy_sum = 0.0;
             for c in &round.computes {
-                let cost = pricer(PriceReq::Compute(*c));
+                let cost = price(c);
                 let home = c.home_subarray().unwrap_or(0);
                 round_busy_sum += cost.busy_ns;
                 *sub_load.entry(home).or_default() += cost.busy_ns;
@@ -623,8 +580,9 @@ impl Engine {
                         tran_clock += repeat * round_tran_parallel;
                     }
                     compute_critical += repeat * parallel_makespan;
-                    for (lane, t) in round_tran_lane.iter().enumerate() {
-                        tran_lane_ns[lane] += t * repeat;
+                    for ((acc, b), c) in tran_lane_ns.iter_mut().zip(&bcast_lane).zip(&collect_lane)
+                    {
+                        *acc += (b + c) * repeat;
                     }
                 }
             }
@@ -700,18 +658,22 @@ impl Engine {
     /// models (the event-driven reference engine composes these into
     /// explicit timelines).
     pub(crate) fn vpc_busy_ns(&self, vpc: &Vpc) -> f64 {
-        match *vpc {
-            Vpc::Tran { len, .. } => self.tran_cost(len as u64).busy_ns,
-            _ => self.compute_cost(vpc).busy_ns,
-        }
+        self.price(PriceKey::of(vpc)).busy_ns
     }
 
     /// Operation-counter deltas of one command under this engine's cost
     /// models (trace spans carry these as per-span arguments).
     pub(crate) fn vpc_counters(&self, vpc: &Vpc) -> OpCounters {
-        match *vpc {
-            Vpc::Tran { len, .. } => self.tran_cost(len as u64).counters,
-            _ => self.compute_cost(vpc).counters,
+        self.price(PriceKey::of(vpc)).counters
+    }
+
+    /// The cost of every command with this key (pure in `&self`).
+    fn price(&self, key: PriceKey) -> VpcCost {
+        match key {
+            PriceKey::Tran(elements) => self.tran_cost(elements),
+            PriceKey::Dot(n) => self.compute_cost(ProcOp::DotProduct { n }),
+            PriceKey::Smul(n) => self.compute_cost(ProcOp::ScalarVectorMul { n }),
+            PriceKey::Add(n) => self.compute_cost(ProcOp::VectorAdd { n }),
         }
     }
 
@@ -720,13 +682,7 @@ impl Engine {
         words.div_ceil(self.words_per_row).max(1)
     }
 
-    fn compute_cost(&self, vpc: &Vpc) -> VpcCost {
-        let op = match *vpc {
-            Vpc::Mul { src1, .. } => ProcOp::DotProduct { n: src1.len as u64 },
-            Vpc::Smul { src } => ProcOp::ScalarVectorMul { n: src.len as u64 },
-            Vpc::Add { src1, .. } => ProcOp::VectorAdd { n: src1.len as u64 },
-            Vpc::Tran { .. } => unreachable!("compute_cost called on TRAN"),
-        };
+    fn compute_cost(&self, op: ProcOp) -> VpcCost {
         let proc = self.pipeline.cost(op);
         let proc_ns = proc.cycles as f64 * self.cycle_ns;
         let rows = self.rows_for(proc.io_words);
@@ -883,7 +839,7 @@ mod tests {
 
     fn run(opt: OptLevel) -> ExecReport {
         let cfg = StreamPimConfig::paper_default().with_opt(opt);
-        Engine::new(&cfg).run(&schedule(20, 256, 2000), &NullSink, &NullProbe, None, 1)
+        Engine::new(&cfg).run(&schedule(20, 256, 2000), &NullSink, &NullProbe, None)
     }
 
     #[test]
@@ -941,7 +897,7 @@ mod tests {
     }
 
     fn run_with_config(cfg: StreamPimConfig) -> ExecReport {
-        Engine::new(&cfg).run(&schedule(20, 256, 2000), &NullSink, &NullProbe, None, 1)
+        Engine::new(&cfg).run(&schedule(20, 256, 2000), &NullSink, &NullProbe, None)
     }
 
     #[test]
@@ -969,7 +925,7 @@ mod tests {
                     s.push(round);
                 }
                 Engine::new(&cfg)
-                    .run(&s, &NullSink, &NullProbe, None, 1)
+                    .run(&s, &NullSink, &NullProbe, None)
                     .total_ns()
             })
             .collect();
@@ -993,7 +949,7 @@ mod tests {
     #[test]
     fn empty_schedule_is_free() {
         let cfg = StreamPimConfig::paper_default();
-        let r = Engine::new(&cfg).run(&Schedule::new(), &NullSink, &NullProbe, None, 1);
+        let r = Engine::new(&cfg).run(&Schedule::new(), &NullSink, &NullProbe, None);
         assert_eq!(r.total_ns(), 0.0);
         assert_eq!(r.total_pj(), 0.0);
     }
@@ -1006,8 +962,7 @@ mod tests {
             // Full-utilization rounds (4 VPCs per subarray), as real
             // kernel lowerings produce.
             let cfg = StreamPimConfig::paper_default().with_segment_domains(seg);
-            let r =
-                Engine::new(&cfg).run(&schedule(20, 2048, 2600), &NullSink, &NullProbe, None, 1);
+            let r = Engine::new(&cfg).run(&schedule(20, 2048, 2600), &NullSink, &NullProbe, None);
             (r.total_ns(), r.total_pj())
         };
         let (t1024, e1024) = t(1024);
@@ -1024,8 +979,8 @@ mod tests {
             let cfg = StreamPimConfig::paper_default().with_opt(opt);
             let engine = Engine::new(&cfg);
             let sink = pim_trace::Collector::new();
-            let plain = engine.run(&s, &NullSink, &NullProbe, None, 1);
-            let traced = engine.run(&s, &sink, &NullProbe, None, 1);
+            let plain = engine.run(&s, &NullSink, &NullProbe, None);
+            let traced = engine.run(&s, &sink, &NullProbe, None);
             assert_eq!(plain, traced, "sink must not perturb pricing ({opt:?})");
             assert!(sink.span_count() > 0, "phases should be recorded ({opt:?})");
         }
@@ -1036,7 +991,7 @@ mod tests {
         let cfg = StreamPimConfig::paper_default().with_opt(OptLevel::Base);
         let s = schedule(5, 32, 600);
         let sink = pim_trace::Collector::new();
-        let report = Engine::new(&cfg).run(&s, &sink, &NullProbe, None, 1);
+        let report = Engine::new(&cfg).run(&s, &sink, &NullProbe, None);
         let a = pim_trace::analyze::Analysis::of(&sink.spans());
         // Base is fully serial: compute and transfer never overlap, and the
         // phase spans tile [0, total] exactly (no controller floor here).
@@ -1055,7 +1010,7 @@ mod tests {
         let frac = |opt: OptLevel| {
             let cfg = StreamPimConfig::paper_default().with_opt(opt);
             let sink = pim_trace::Collector::new();
-            Engine::new(&cfg).run(&s, &sink, &NullProbe, None, 1);
+            Engine::new(&cfg).run(&s, &sink, &NullProbe, None);
             pim_trace::analyze::Analysis::of(&sink.spans()).overlap_fraction
         };
         let base = frac(OptLevel::Base);
@@ -1067,30 +1022,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_pricing_is_byte_identical_to_serial() {
-        let s = schedule(12, 96, 1500);
-        for opt in [OptLevel::Base, OptLevel::Distribute, OptLevel::Unblock] {
-            let cfg = StreamPimConfig::paper_default().with_opt(opt);
-            let engine = Engine::new(&cfg);
-            let serial = engine.run(&s, &NullSink, &NullProbe, None, 1);
-            for workers in [2usize, 3, 7, 16] {
-                let par = engine.run(&s, &NullSink, &NullProbe, None, workers);
-                assert_eq!(serial, par, "workers={workers} opt={opt:?}");
-                assert_eq!(
-                    serial.total_ns().to_bits(),
-                    par.total_ns().to_bits(),
-                    "bit-identical totals (workers={workers} opt={opt:?})"
-                );
-            }
-        }
+    /// Commands `s` prices per run (rows before `repeat` scaling).
+    fn rows(s: &Schedule) -> u64 {
+        s.rounds.iter().map(|r| r.len() as u64).sum()
     }
 
-    /// Prices `s` through `table`, returning the report and the rows priced
+    /// Prices `s` through `table`, returning the report and the keys priced
     /// fresh this run (the table's miss delta).
     fn repriced(engine: &Engine, s: &Schedule, table: &mut PriceTable) -> (ExecReport, u64) {
         let misses = table.misses();
-        let report = engine.run(s, &NullSink, &NullProbe, Some(table), 1);
+        let report = engine.run(s, &NullSink, &NullProbe, Some(table));
         (report, table.misses() - misses)
     }
 
@@ -1103,7 +1044,7 @@ mod tests {
 
             // Cold-prime the table on one shape.
             let s1 = schedule(8, 64, 1200);
-            let cold1 = engine.run(&s1, &NullSink, &NullProbe, None, 1);
+            let cold1 = engine.run(&s1, &NullSink, &NullProbe, None);
             let (warm1, fresh1) = repriced(&engine, &s1, &mut table);
             assert_eq!(cold1, warm1, "first repriced run ({opt:?})");
             assert!(fresh1 > 0, "first run must price rows fresh");
@@ -1117,12 +1058,12 @@ mod tests {
             // dimension-dependent keys price fresh, and the report still
             // matches cold pricing bit-for-bit.
             let s2 = schedule(8, 64, 900);
-            let cold2 = engine.run(&s2, &NullSink, &NullProbe, None, 1);
+            let cold2 = engine.run(&s2, &NullSink, &NullProbe, None);
             let (warm2, fresh2) = repriced(&engine, &s2, &mut table);
             assert_eq!(cold2, warm2, "near-miss repriced run ({opt:?})");
             assert!(fresh2 > 0, "changed dimensions must re-price");
             assert!(
-                fresh2 < engine.price_requests(&s2).len() as u64,
+                fresh2 < rows(&s2),
                 "unchanged rows must replay from the memo"
             );
             assert_eq!(
@@ -1139,7 +1080,7 @@ mod tests {
         let mut table = PriceTable::new();
         assert!(table.is_empty());
         let s = schedule(2, 4, 500);
-        let reqs = engine.price_requests(&s).len() as u64;
+        let reqs = rows(&s);
         let (_, fresh) = repriced(&engine, &s, &mut table);
         assert_eq!(table.misses(), fresh);
         assert_eq!(table.hits(), reqs - fresh);

@@ -349,7 +349,7 @@ mod tests {
         let s = schedule(5, 64, 512);
         let (event_ns, _) = EventEngine::new(&cfg).run(&s);
         let analytic_ns = Engine::new(&cfg)
-            .run(&s, &pim_trace::NullSink, &rm_core::NullProbe, None, 1)
+            .run(&s, &pim_trace::NullSink, &rm_core::NullProbe, None)
             .total_ns();
         assert!(
             (event_ns - analytic_ns).abs() / analytic_ns < 1e-9,
@@ -372,7 +372,7 @@ mod tests {
             let s = schedule(rounds, computes, len);
             let (event_ns, _) = EventEngine::new(&cfg).run(&s);
             let analytic_ns = Engine::new(&cfg)
-                .run(&s, &pim_trace::NullSink, &rm_core::NullProbe, None, 1)
+                .run(&s, &pim_trace::NullSink, &rm_core::NullProbe, None)
                 .total_ns();
             let err = (event_ns - analytic_ns).abs() / analytic_ns;
             assert!(

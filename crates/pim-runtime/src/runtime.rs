@@ -451,6 +451,9 @@ impl Runtime {
         instruments: &JobInstruments<'_>,
     ) -> (Result<ExecReport, pim_device::PimError>, CacheDisposition) {
         let unprobed = CacheDisposition::default();
+        if let Err(e) = job.workload.validate() {
+            return (Err(e), unprobed);
+        }
         // Multi-device cluster jobs take the cluster path: each device
         // lowers its own shard, so the shared schedule cache and re-pricing
         // memo don't apply. A one-device batch-1 spec falls through to the
@@ -1183,6 +1186,41 @@ mod tests {
         // than pricing 4 items on one device.
         assert!(cluster.total_pj() > single.total_pj());
         assert!(cluster.total_ns() < 4.0 * single.total_ns());
+    }
+
+    #[test]
+    fn zero_sized_workloads_fail_on_every_platform_and_the_cluster_path() {
+        use pim_cluster::ClusterSpec;
+        let kinds = [
+            PlatformKind::CpuRm,
+            PlatformKind::CpuDram,
+            PlatformKind::Gpu,
+            PlatformKind::StPim,
+            PlatformKind::StPimE,
+            PlatformKind::Coruscant,
+            PlatformKind::Elp2im,
+            PlatformKind::Felix,
+        ];
+        let mut jobs = Vec::new();
+        for (m, k, n) in [(0, 0, 0), (0, 4, 4), (4, 4, 0)] {
+            let spec = WorkloadSpec::MatMul { m, k, n };
+            jobs.extend(kinds.map(|kind| Job::new(spec, kind)));
+            jobs.push(Job::new(spec, PlatformKind::StPim).with_cluster(ClusterSpec::data(2)));
+        }
+        for cache_enabled in [true, false] {
+            let runtime = Runtime::new(RuntimeConfig {
+                workers: 2,
+                cache_enabled,
+                ..RuntimeConfig::default()
+            });
+            let batch = runtime.run_batch(&jobs);
+            assert_eq!(batch.failed(), jobs.len());
+            for outcome in &batch.outcomes {
+                let err = outcome.report.as_ref().unwrap_err();
+                assert!(err.contains("must be non-zero"), "{}: {err}", outcome.name);
+            }
+            assert_eq!(runtime.cache().len(), 0, "nothing was lowered");
+        }
     }
 
     #[test]

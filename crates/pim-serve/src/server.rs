@@ -555,8 +555,12 @@ impl Core {
         if parsed.tenant.is_empty() {
             return Response::error(400, "tenant must be non-empty");
         }
-        // Cluster specs are validated at the edge: a bad device count or
-        // batch is the client's error (400), not a queued job that fails.
+        // Workload and cluster specs are validated at the edge: a zero
+        // matrix dimension, a bad device count or batch is the client's
+        // error (400), not a queued job that fails.
+        if let Err(error) = parsed.job.workload.validate() {
+            return Response::error(400, &format!("bad workload spec: {error}"));
+        }
         if let Some(spec) = &parsed.job.cluster {
             if let Err(error) = spec.validate() {
                 return Response::error(400, &format!("bad cluster spec: {error}"));
@@ -1605,6 +1609,27 @@ mod tests {
             let (status, _, body) = call(&addr, "POST", "/v1/jobs", Some(&body)).unwrap();
             assert_eq!(status, 400, "{body}");
             assert!(body.contains("bad cluster spec"), "{body}");
+        }
+        // Nothing was admitted or metered.
+        let (_, _, body) = call(&addr, "GET", "/v1/healthz", None).unwrap();
+        let health: HealthResponse = serde_json::from_str(&body).unwrap();
+        assert_eq!((health.queued, health.in_flight), (0, 0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn zero_sized_workloads_are_rejected_at_the_edge() {
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let addr = server.addr();
+        for (m, k, n) in [(0, 0, 0), (0, 4, 4), (4, 4, 0)] {
+            let request = SubmitRequest {
+                tenant: "alice".into(),
+                job: Job::new(WorkloadSpec::MatMul { m, k, n }, PlatformKind::StPim),
+            };
+            let body = serde_json::to_string(&request).unwrap();
+            let (status, _, body) = call(&addr, "POST", "/v1/jobs", Some(&body)).unwrap();
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("bad workload spec"), "{body}");
         }
         // Nothing was admitted or metered.
         let (_, _, body) = call(&addr, "GET", "/v1/healthz", None).unwrap();

@@ -17,6 +17,7 @@ use crate::dnn::{matmul_task, DnnModel, MatMulShape};
 use crate::polybench::{Kernel, KernelInstance};
 use crate::profile::KernelProfile;
 use pim_device::task::ShapeTask;
+use pim_device::PimError;
 use serde::{Deserialize, Serialize};
 
 /// The DNN models of the paper's §V-E evaluation.
@@ -118,6 +119,23 @@ impl WorkloadSpec {
         }
     }
 
+    /// Checks that the spec names real work. A `MatMul` with a zero
+    /// dimension would otherwise price phantom work (lowering clamps its
+    /// empty rounds to one column); polybench kernels clamp to minimum
+    /// sizes and DNN models are fixed, so they always pass.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::Config`] naming the spec.
+    pub fn validate(&self) -> pim_device::Result<()> {
+        match *self {
+            WorkloadSpec::MatMul { m, k, n } if m == 0 || k == 0 || n == 0 => Err(
+                PimError::Config(format!("{}: every dimension must be non-zero", self.name())),
+            ),
+            _ => Ok(()),
+        }
+    }
+
     /// Builds the workload's task: its operation graph over matrix
     /// dimensions, with no element data. This is the one way a spec becomes
     /// a task; every PIM platform lowers it under its own configuration.
@@ -180,6 +198,19 @@ mod tests {
         assert_ne!(a, c);
         let set: HashSet<WorkloadSpec> = [a, b, c].into_iter().collect();
         assert_eq!(set.len(), 2);
+    }
+
+    #[test]
+    fn zero_dimensions_are_rejected() {
+        for (m, k, n) in [(0, 0, 0), (0, 4, 4), (4, 0, 4), (4, 4, 0)] {
+            let err = WorkloadSpec::MatMul { m, k, n }.validate().unwrap_err();
+            assert!(matches!(err, PimError::Config(_)), "{m}x{k}x{n}: {err}");
+        }
+        assert!(WorkloadSpec::MatMul { m: 1, k: 1, n: 1 }.validate().is_ok());
+        assert!(WorkloadSpec::polybench(Kernel::Gemm, 0.0)
+            .validate()
+            .is_ok());
+        assert!(WorkloadSpec::dnn(DnnKind::Mlp).validate().is_ok());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Two helpers cover the common shapes:
 //!
 //! * [`map_sharded`] — read-only fan-out over a slice of work items (e.g.
-//!   pricing every VPC of a schedule); the output vector is index-aligned
-//!   with the input.
+//!   one lowered shard per simulated device of a cluster); the output
+//!   vector is index-aligned with the input.
 //! * [`run_sharded`] — exclusive fan-out over a slice of mutable shard
 //!   states (e.g. one subarray pipeline per shard); each thread owns a
 //!   disjoint `&mut` chunk, results come back in shard order.
