@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt lint doc build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments loc
+.PHONY: verify fmt lint doc build test determinism bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments loc
 
-verify: fmt lint doc build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
+verify: fmt lint doc build test determinism bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
 	@echo "verify: all gates passed"
 
 fmt:
@@ -31,12 +31,6 @@ test:
 determinism:
 	$(CARGO) test -q --test parallel_determinism --test cluster_determinism
 	STREAMPIM_TEST_WORKERS=1,3,5,13 $(CARGO) test -q --test parallel_determinism --test cluster_determinism
-
-# Wide-kernel differential suites with the portable fallback forced:
-# proves the scalar/word/wide equivalences hold on the exact code path a
-# machine without the detected SIMD features would run.
-wide-smoke:
-	STREAMPIM_WIDE_PORTABLE=1 $(CARGO) test -q -p rm-core -p dw-logic -p rm-proc -p rm-bus -p pim-device --test proptests
 
 # Benches and examples must stay compilable even when not run.
 bench-build:

@@ -3,11 +3,13 @@
 //! Runs the same four comparisons as the criterion `device` group —
 //! bulk faulted nanowire shift, 64-track mat row read/write, and a
 //! GEMV-shaped dot product — and writes median ns/op per variant plus the
-//! speedup to a JSON report (default `BENCH_device.json`). A second,
-//! informational `parallel` group times the functional [`DeviceFlow`]
-//! gemv/gemm at several intra-run worker counts, recording the machine's
+//! speedup to a JSON report (default `BENCH_device.json`). Each kernel's
+//! packed and scalar legs are sampled alternately, one sample of each per
+//! round. A `parallel` group times the functional [`DeviceFlow`] gemv/gemm
+//! at several intra-run worker counts, recording the machine's
 //! `available_parallelism` alongside — thread speedups are meaningless
-//! without knowing how many cores the run actually had.
+//! without knowing how many cores the run actually had. The `wide` and
+//! `reprice` groups are recorded, not gated.
 //!
 //! Usage: `bench_device [--smoke] [--out PATH] [--compare PATH [--tolerance PCT]]`.
 //! `--smoke` shrinks the sample counts so CI can validate the pipeline in
@@ -18,9 +20,9 @@
 //! machines where absolute ns/op do not. The default tolerance (60%) is
 //! deliberately loose: it rides through sampling noise and CI-runner
 //! variation but still catches a packed kernel collapsing to scalar speed.
-//! The `parallel` group's speedups depend on the core count of the machine
-//! at hand, so they are gated only against a baseline from a host with the
-//! same thread count, and never on a 1-thread host.
+//! Speedups depend on the host, so `--compare` refuses (exit 1) a baseline
+//! whose host block — architecture, SIMD level, thread count — differs
+//! from this run's, and skips the `parallel` gate on a 1-thread host.
 
 use pim_device::flow::DeviceFlow;
 use pim_device::Parallelism;
@@ -41,7 +43,7 @@ struct HostEnv {
     available_parallelism: usize,
     /// Target architecture (`std::env::consts::ARCH`).
     arch: String,
-    /// SIMD level the wide kernels dispatch to (`rm_core::wide::simd_level`).
+    /// The host's SIMD level (`rm_core::wide::simd_level`).
     simd: String,
 }
 
@@ -64,9 +66,9 @@ struct KernelResult {
     speedup: f64,
 }
 
-/// Median ns/op of one kernel's wide word-group path against its retained
-/// single-word reference path (PR 8 tentpole): `ratio` is `word_ns /
-/// wide_ns`, so ≥ 1 means the widening pays off.
+/// Median ns/op of one widened hot path against its retained word-at-a-time
+/// or cycle-by-cycle reference: `ratio` is `word_ns / wide_ns`, so ≥ 1
+/// means the widening pays off.
 #[derive(Debug, Serialize, Deserialize)]
 struct WideResult {
     name: String,
@@ -138,9 +140,22 @@ fn median_spread(mut times: Vec<f64>) -> (f64, f64) {
     (median, (times[times.len() - 1] - times[0]) / median)
 }
 
-/// Median of `samples` timings of `iters` calls to `op`, in ns per call.
-fn median_ns<F: FnMut()>(iters: u64, samples: usize, mut op: F) -> f64 {
-    median_spread((0..samples).map(|_| sample_ns(iters, &mut op)).collect()).0
+/// Medians of `samples` timings of `iters` calls to each of two legs, in ns
+/// per call. The legs are sampled alternately, one sample of each per
+/// round, so a burst of hypervisor steal lands on both legs alike rather
+/// than on one leg's block of samples.
+fn interleaved_medians<A: FnMut(), B: FnMut()>(
+    iters: u64,
+    samples: usize,
+    mut a: A,
+    mut b: B,
+) -> (f64, f64) {
+    let (mut a_ns, mut b_ns) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+    for _ in 0..samples {
+        a_ns.push(sample_ns(iters, &mut a));
+        b_ns.push(sample_ns(iters, &mut b));
+    }
+    (median_spread(a_ns).0, median_spread(b_ns).0)
 }
 
 fn main() -> ExitCode {
@@ -179,7 +194,9 @@ fn main() -> ExitCode {
         const STEPS: u64 = 32;
         let mut packed = Nanowire::with_even_ports(512, 8);
         let mut packed_faults = ShiftFaultModel::new(0.01, 0.01, 0xB13);
-        let packed_ns = median_ns(iters, samples, || {
+        let mut scalar = ScalarNanowire::with_even_ports(512, 8);
+        let mut scalar_faults = ShiftFaultModel::new(0.01, 0.01, 0xB13);
+        let packed_leg = || {
             packed
                 .shift_bulk_with_faults(ShiftDir::Right, 1, STEPS, &mut packed_faults)
                 .unwrap();
@@ -195,10 +212,8 @@ fn main() -> ExitCode {
                 };
                 packed.shift(dir, drift.unsigned_abs()).unwrap();
             }
-        });
-        let mut scalar = ScalarNanowire::with_even_ports(512, 8);
-        let mut scalar_faults = ShiftFaultModel::new(0.01, 0.01, 0xB13);
-        let scalar_ns = median_ns(iters, samples, || {
+        };
+        let scalar_leg = || {
             for _ in 0..STEPS {
                 scalar
                     .shift_with_faults(ShiftDir::Right, 1, &mut scalar_faults)
@@ -218,7 +233,8 @@ fn main() -> ExitCode {
                 };
                 scalar.shift(dir, drift.unsigned_abs()).unwrap();
             }
-        });
+        };
+        let (packed_ns, scalar_ns) = interleaved_medians(iters, samples, packed_leg, scalar_leg);
         results.push(KernelResult {
             name: "shift".into(),
             scalar_ns,
@@ -238,16 +254,19 @@ fn main() -> ExitCode {
         }
 
         let mut buf = [0u8; 8];
-        let mut r = 0;
-        let packed_ns = median_ns(iters, samples, || {
-            packed.read_row_into(black_box(r), &mut buf).unwrap();
-            r = (r + 17) % 64;
-        });
-        let mut r = 0;
-        let scalar_ns = median_ns(iters, samples, || {
-            black_box(scalar.read_row(black_box(r)).unwrap());
-            r = (r + 17) % 64;
-        });
+        let (mut rp, mut rs) = (0, 0);
+        let (packed_ns, scalar_ns) = interleaved_medians(
+            iters,
+            samples,
+            || {
+                packed.read_row_into(black_box(rp), &mut buf).unwrap();
+                rp = (rp + 17) % 64;
+            },
+            || {
+                black_box(scalar.read_row(black_box(rs)).unwrap());
+                rs = (rs + 17) % 64;
+            },
+        );
         results.push(KernelResult {
             name: "read_row".into(),
             scalar_ns,
@@ -255,16 +274,19 @@ fn main() -> ExitCode {
             speedup: scalar_ns / packed_ns,
         });
 
-        let mut r = 0;
-        let packed_ns = median_ns(iters, samples, || {
-            packed.write_row(black_box(r), &data).unwrap();
-            r = (r + 17) % 64;
-        });
-        let mut r = 0;
-        let scalar_ns = median_ns(iters, samples, || {
-            scalar.write_row(black_box(r), &data).unwrap();
-            r = (r + 17) % 64;
-        });
+        let (mut rp, mut rs) = (0, 0);
+        let (packed_ns, scalar_ns) = interleaved_medians(
+            iters,
+            samples,
+            || {
+                packed.write_row(black_box(rp), &data).unwrap();
+                rp = (rp + 17) % 64;
+            },
+            || {
+                scalar.write_row(black_box(rs), &data).unwrap();
+                rs = (rs + 17) % 64;
+            },
+        );
         results.push(KernelResult {
             name: "write_row".into(),
             scalar_ns,
@@ -278,13 +300,17 @@ fn main() -> ExitCode {
         let a: Vec<u64> = (0..256).map(|i| (i * 37 + 11) % 256).collect();
         let b: Vec<u64> = (0..256).map(|i| (i * 91 + 13) % 256).collect();
         let mut packed = RmProcessor::new(8, 2);
-        let packed_ns = median_ns(gemv_iters, samples, || {
-            black_box(packed.dot(black_box(&a), black_box(&b)));
-        });
         let mut scalar = RmProcessor::new(8, 2);
-        let scalar_ns = median_ns(gemv_iters, samples, || {
-            black_box(scalar.dot_scalar(black_box(&a), black_box(&b)));
-        });
+        let (packed_ns, scalar_ns) = interleaved_medians(
+            gemv_iters,
+            samples,
+            || {
+                black_box(packed.dot(black_box(&a), black_box(&b)));
+            },
+            || {
+                black_box(scalar.dot_scalar(black_box(&a), black_box(&b)));
+            },
+        );
         results.push(KernelResult {
             name: "gemv".into(),
             scalar_ns,
@@ -293,27 +319,10 @@ fn main() -> ExitCode {
         });
     }
 
-    // Wide group: each widened hot path against its retained single-word
-    // reference (PR 8): the processor dot datapath, the aligned row copy
-    // under `Mat` reads/writes, and the bus's closed-form bulk stream.
+    // Wide group: each widened hot path against its retained reference
+    // (recorded, not gated): the aligned row copy under `Mat` reads/writes,
+    // and the bus's closed-form bulk stream.
     let mut wide = Vec::new();
-    {
-        let a: Vec<u64> = (0..256).map(|i| (i * 37 + 11) % 256).collect();
-        let b: Vec<u64> = (0..256).map(|i| (i * 91 + 13) % 256).collect();
-        let mut proc = RmProcessor::new(8, 2);
-        let wide_ns = median_ns(gemv_iters, samples, || {
-            black_box(proc.dot(black_box(&a), black_box(&b)));
-        });
-        let word_ns = median_ns(gemv_iters, samples, || {
-            black_box(proc.dot_words(black_box(&a), black_box(&b)));
-        });
-        wide.push(WideResult {
-            name: "gemv".into(),
-            word_ns,
-            wide_ns,
-            ratio: word_ns / wide_ns,
-        });
-    }
     {
         // A full 4096-lane plane row, the grain `Mat` row reads copy.
         const LANES: usize = 4096;
@@ -321,15 +330,20 @@ fn main() -> ExitCode {
         for i in (0..LANES).step_by(3) {
             src.set(i, true);
         }
-        let mut dst = rm_core::PackedBits::new(LANES);
-        let wide_ns = median_ns(iters, samples, || {
-            dst.copy_range_from(0, black_box(&src), 0, LANES);
-            black_box(&dst);
-        });
-        let word_ns = median_ns(iters, samples, || {
-            dst.copy_range_from_by_words(0, black_box(&src), 0, LANES);
-            black_box(&dst);
-        });
+        let mut wide_dst = rm_core::PackedBits::new(LANES);
+        let mut word_dst = rm_core::PackedBits::new(LANES);
+        let (wide_ns, word_ns) = interleaved_medians(
+            iters,
+            samples,
+            || {
+                wide_dst.copy_range_from(0, black_box(&src), 0, LANES);
+                black_box(&wide_dst);
+            },
+            || {
+                word_dst.copy_range_from_by_words(0, black_box(&src), 0, LANES);
+                black_box(&word_dst);
+            },
+        );
         wide.push(WideResult {
             name: "read_row".into(),
             word_ns,
@@ -341,13 +355,17 @@ fn main() -> ExitCode {
         let words: Vec<u64> = (0..64).map(|i| i * 0x9E37_79B9_7F4A_7C15u64).collect();
         let (src, dst) = (0usize, 8usize);
         let mut bulk = rm_bus::SegmentedBus::new(16);
-        let wide_ns = median_ns(iters / 4, samples, || {
-            black_box(bulk.stream_words(src, dst, black_box(&words)));
-        });
         let mut cycled = rm_bus::SegmentedBus::new(16);
-        let word_ns = median_ns(iters / 4, samples, || {
-            black_box(cycled.stream_words_cycled_reference(src, dst, black_box(&words)));
-        });
+        let (wide_ns, word_ns) = interleaved_medians(
+            iters / 4,
+            samples,
+            || {
+                black_box(bulk.stream_words(src, dst, black_box(&words)));
+            },
+            || {
+                black_box(cycled.stream_words_cycled_reference(src, dst, black_box(&words)));
+            },
+        );
         wide.push(WideResult {
             name: "stream_words".into(),
             word_ns,
@@ -372,23 +390,27 @@ fn main() -> ExitCode {
             })
             .collect();
         let (rep_iters, rep_samples) = if smoke { (2, 3) } else { (20, 7) };
-        let cold_ns = median_ns(rep_iters, rep_samples, || {
-            for spec in &shapes {
-                let schedule = spec.shape_task().lower(&device).expect("lowers");
-                black_box(device.execute(&schedule));
-            }
-        });
         // Warm the table with the first shape, then sweep the rest —
         // exactly what the runtime does after one shape-class submission.
         let mut table = PriceTable::new();
         let warm = shapes[0].shape_task().lower(&device).expect("lowers");
         device.execute_repriced(&warm, &mut table);
-        let repriced_ns = median_ns(rep_iters, rep_samples, || {
-            for spec in &shapes {
-                let schedule = spec.shape_task().lower(&device).expect("lowers");
-                black_box(device.execute_repriced(&schedule, &mut table));
-            }
-        });
+        let (cold_ns, repriced_ns) = interleaved_medians(
+            rep_iters,
+            rep_samples,
+            || {
+                for spec in &shapes {
+                    let schedule = spec.shape_task().lower(&device).expect("lowers");
+                    black_box(device.execute(&schedule));
+                }
+            },
+            || {
+                for spec in &shapes {
+                    let schedule = spec.shape_task().lower(&device).expect("lowers");
+                    black_box(device.execute_repriced(&schedule, &mut table));
+                }
+            },
+        );
         RepriceResult {
             shapes: shapes.len(),
             cold_ns,
@@ -486,7 +508,7 @@ fn main() -> ExitCode {
             k.name, k.scalar_ns, k.packed_ns, k.speedup
         );
     }
-    println!("wide word-group vs single-word paths:");
+    println!("wide paths vs their retained references:");
     for w in &report.wide {
         println!(
             "  {:<12} word {:>10.1} ns/op   wide {:>10.1} ns/op   {:>6.2}x",

@@ -1,7 +1,8 @@
 //! Full adder and ripple-carry word adder (paper Figure 6).
 
 use crate::cost::GateTally;
-use crate::gate::{lane_mask, nand, nand_words};
+use crate::gate::nand;
+use rm_core::wide::ripple_add_planes;
 use serde::{Deserialize, Serialize};
 
 /// The 1-bit full adder built from nine domain-wall NAND gates, exactly as
@@ -35,67 +36,6 @@ impl FullAdder {
         let sum = nand(t6, t7, tally); // a XOR b XOR cin
         let carry = nand(t1, t5, tally); // ab + cin(a XOR b)
         (sum, carry)
-    }
-
-    /// `lanes` full adders evaluated at once: bit `l` of each operand word
-    /// belongs to lane `l`. Same nine-NAND structure, tallied per lane, so
-    /// the gate accounting equals `lanes` scalar [`Self::add`] calls.
-    pub fn add_words(
-        self,
-        a: u64,
-        b: u64,
-        cin: u64,
-        lanes: u32,
-        tally: &mut GateTally,
-    ) -> (u64, u64) {
-        let t1 = nand_words(a, b, lanes, tally);
-        let t2 = nand_words(a, t1, lanes, tally);
-        let t3 = nand_words(b, t1, lanes, tally);
-        let axb = nand_words(t2, t3, lanes, tally); // a XOR b
-        let t5 = nand_words(axb, cin, lanes, tally);
-        let t6 = nand_words(axb, t5, lanes, tally);
-        let t7 = nand_words(cin, t5, lanes, tally);
-        let sum = nand_words(t6, t7, lanes, tally); // a XOR b XOR cin
-        let carry = nand_words(t1, t5, lanes, tally); // ab + cin(a XOR b)
-        (sum, carry)
-    }
-
-    /// Word-group sibling of [`Self::add_words`]: `lanes` full adders across
-    /// a slice of lane-words, evaluated in one fused wide pass
-    /// (`rm_core::wide::full_adder_into`). The boolean closed form equals the
-    /// masked nine-NAND composition lane-for-lane, and the tally charges the
-    /// full nine NANDs per lane, so results and accounting are bit-identical
-    /// to per-word [`Self::add_words`] calls over the same lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length or are not exactly
-    /// `ceil(lanes / 64)` words.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_words_group(
-        self,
-        a: &[u64],
-        b: &[u64],
-        cin: &[u64],
-        sum: &mut [u64],
-        carry: &mut [u64],
-        lanes: u64,
-        tally: &mut GateTally,
-    ) {
-        assert!(lanes > 0, "word-group adds need at least one lane");
-        assert_eq!(
-            (lanes as usize).div_ceil(64),
-            a.len(),
-            "word-group slice must be exactly ceil(lanes/64) words"
-        );
-        tally.nand += Self::NAND_COUNT * lanes;
-        rm_core::wide::full_adder_into(a, b, cin, sum, carry);
-        let partial = (lanes % 64) as u32;
-        if partial != 0 {
-            let m = lane_mask(partial);
-            *sum.last_mut().expect("non-empty group") &= m;
-            *carry.last_mut().expect("non-empty group") &= m;
-        }
     }
 }
 
@@ -150,77 +90,22 @@ impl RippleCarryAdder {
         (sum, carry)
     }
 
-    /// Bit-sliced word addition over `lanes` independent lane pairs:
-    /// `a[i]`/`b[i]` hold bit `i` of every lane (one plane per bit of the
-    /// word). Returns the sum planes and the carry-out word. The carry still
-    /// ripples plane-to-plane, but each plane step adds all lanes at once;
-    /// gate tallies equal `lanes` scalar [`Self::add`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` does not have exactly `width` planes.
-    pub fn add_planes(
+    /// Adds `addend` into `acc` for every lane at once and charges the
+    /// `width` full adders of each of the `lanes` live lanes. Both slices
+    /// hold `width` bit planes of `words` lane-words, plane-major (see
+    /// [`ripple_add_planes`]). Each lane's sum is what [`Self::add`]
+    /// returns with no carry-in; the carry-out is dropped.
+    pub(crate) fn add_planes_in_place(
         &self,
-        a: &[u64],
-        b: &[u64],
-        cin: u64,
-        lanes: u32,
-        tally: &mut GateTally,
-    ) -> (Vec<u64>, u64) {
-        assert_eq!(a.len(), self.width as usize, "operand a plane count");
-        assert_eq!(b.len(), self.width as usize, "operand b plane count");
-        let mut carry = cin;
-        let mut sum = Vec::with_capacity(self.width as usize);
-        for i in 0..self.width as usize {
-            let (s, c) = FullAdder.add_words(a[i], b[i], carry, lanes, tally);
-            sum.push(s);
-            carry = c;
-        }
-        (sum, carry)
-    }
-
-    /// Word-group sibling of [`Self::add_planes`]: each bit plane is a group
-    /// of `group_words` lane-words, flattened plane-major (`a[i * group_words
-    /// ..]` is plane `i`), covering `lanes` total lanes. The carry still
-    /// ripples plane-to-plane while each plane step adds every lane at once;
-    /// results and tallies are bit-identical to per-word [`Self::add_planes`]
-    /// calls over the same lane-word columns because lanes never interact
-    /// across words.
-    ///
-    /// Returns the flattened sum planes and the carry-out word group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand lengths are not `width * group_words` or
-    /// `group_words` is not exactly `ceil(lanes / 64)`.
-    pub fn add_planes_group(
-        &self,
-        a: &[u64],
-        b: &[u64],
-        group_words: usize,
+        acc: &mut [u64],
+        addend: &[u64],
+        words: usize,
         lanes: u64,
         tally: &mut GateTally,
-    ) -> (Vec<u64>, Vec<u64>) {
-        let w = self.width as usize;
-        assert_eq!(a.len(), w * group_words, "operand a plane-group length");
-        assert_eq!(b.len(), w * group_words, "operand b plane-group length");
-        let mut carry = vec![0u64; group_words];
-        let mut carry_next = vec![0u64; group_words];
-        let mut sum = vec![0u64; w * group_words];
-        for i in 0..w {
-            let span = i * group_words..(i + 1) * group_words;
-            FullAdder.add_words_group(
-                &a[span.clone()],
-                &b[span.clone()],
-                &carry,
-                &mut sum[span],
-                &mut carry_next,
-                lanes,
-                tally,
-            );
-            std::mem::swap(&mut carry, &mut carry_next);
-        }
-        (sum, carry)
+    ) {
+        debug_assert_eq!(acc.len(), self.width as usize * words);
+        ripple_add_planes(acc, addend, words);
+        tally.nand += FullAdder::NAND_COUNT * self.width as u64 * lanes;
     }
 }
 
@@ -296,99 +181,5 @@ mod tests {
     #[should_panic(expected = "width must be in 1..=63")]
     fn rejects_zero_width() {
         let _ = RippleCarryAdder::new(0);
-    }
-
-    #[test]
-    fn word_full_adder_matches_scalar_per_lane() {
-        let a: u64 = 0b1100_1010;
-        let b: u64 = 0b1010_0110;
-        let cin: u64 = 0b0110_0011;
-        let mut tw = GateTally::new();
-        let (sw, cw) = FullAdder.add_words(a, b, cin, 8, &mut tw);
-        let mut ts = GateTally::new();
-        for i in 0..8 {
-            let (s, c) = FullAdder.add(
-                (a >> i) & 1 == 1,
-                (b >> i) & 1 == 1,
-                (cin >> i) & 1 == 1,
-                &mut ts,
-            );
-            assert_eq!((sw >> i) & 1 == 1, s, "sum lane {i}");
-            assert_eq!((cw >> i) & 1 == 1, c, "carry lane {i}");
-        }
-        assert_eq!(tw, ts);
-    }
-
-    #[test]
-    fn add_planes_matches_scalar_add_across_lanes() {
-        let adder = RippleCarryAdder::new(8);
-        let lanes: Vec<(u64, u64)> = (0..16).map(|i| (i * 17 % 256, i * 31 % 256)).collect();
-        // Transpose operands into bit planes.
-        let mut a_planes = vec![0u64; 8];
-        let mut b_planes = vec![0u64; 8];
-        for (l, &(a, b)) in lanes.iter().enumerate() {
-            for (i, plane) in a_planes.iter_mut().enumerate() {
-                *plane |= ((a >> i) & 1) << l;
-            }
-            for (i, plane) in b_planes.iter_mut().enumerate() {
-                *plane |= ((b >> i) & 1) << l;
-            }
-        }
-        let mut tw = GateTally::new();
-        let (sum_planes, carry) = adder.add_planes(&a_planes, &b_planes, 0, 16, &mut tw);
-        let mut ts = GateTally::new();
-        for (l, &(a, b)) in lanes.iter().enumerate() {
-            let (s, c) = adder.add(a, b, false, &mut ts);
-            let mut got = 0u64;
-            for (i, plane) in sum_planes.iter().enumerate() {
-                got |= ((plane >> l) & 1) << i;
-            }
-            assert_eq!(got, s, "lane {l}");
-            assert_eq!((carry >> l) & 1 == 1, c, "carry lane {l}");
-        }
-        assert_eq!(tw, ts);
-    }
-
-    #[test]
-    fn add_planes_group_matches_per_word_add_planes() {
-        let adder = RippleCarryAdder::new(8);
-        for lanes in [1u64, 64, 100, 128, 130] {
-            let g = (lanes as usize).div_ceil(64);
-            // Pseudorandom bit planes, tail-masked like real callers.
-            let mut a = vec![0u64; 8 * g];
-            let mut b = vec![0u64; 8 * g];
-            for (i, word) in a.iter_mut().enumerate() {
-                *word = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            }
-            for (i, word) in b.iter_mut().enumerate() {
-                *word = (i as u64 + 7).wrapping_mul(0x2545_F491_4F6C_DD1D);
-            }
-            for i in 0..8 {
-                let partial = (lanes % 64) as u32;
-                if partial != 0 {
-                    a[i * g + g - 1] &= lane_mask(partial);
-                    b[i * g + g - 1] &= lane_mask(partial);
-                }
-            }
-            let mut tg = GateTally::new();
-            let (sum_g, carry_g) = adder.add_planes_group(&a, &b, g, lanes, &mut tg);
-            // Reference: per-word-column add_planes over the same lanes.
-            let mut tw = GateTally::new();
-            for w in 0..g {
-                let wl = (lanes - 64 * w as u64).min(64) as u32;
-                let a_col: Vec<u64> = (0..8).map(|i| a[i * g + w]).collect();
-                let b_col: Vec<u64> = (0..8).map(|i| b[i * g + w]).collect();
-                let (sum_w, carry_w) = adder.add_planes(&a_col, &b_col, 0, wl, &mut tw);
-                for i in 0..8 {
-                    assert_eq!(
-                        sum_g[i * g + w],
-                        sum_w[i],
-                        "plane {i} word {w} at {lanes} lanes"
-                    );
-                }
-                assert_eq!(carry_g[w], carry_w, "carry word {w} at {lanes} lanes");
-            }
-            assert_eq!(tg, tw, "group tally at {lanes} lanes");
-        }
     }
 }

@@ -81,78 +81,43 @@ impl AdderTree {
         level.first().copied().unwrap_or(0)
     }
 
-    /// Bit-sliced sibling of [`Self::sum`] over `lanes` independent lane
-    /// sets: each operand is a vector of `width` planes (`operand[i]` holds
-    /// bit `i` of every lane). The pairwise reduction and therefore the gate
-    /// tallies are identical to running [`Self::sum`] once per lane.
-    ///
-    /// Returns `width` zero planes for an empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any operand does not have exactly `width` planes.
-    pub fn sum_planes(&self, operands: &[Vec<u64>], lanes: u32, tally: &mut GateTally) -> Vec<u64> {
-        let width = self.width as usize;
-        for op in operands {
-            assert_eq!(op.len(), width, "operand plane count");
-        }
-        let adder = RippleCarryAdder::new(self.width);
-        let mut level: Vec<Vec<u64>> = operands.to_vec();
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                if let [a, b] = pair {
-                    let (s, _carry) = adder.add_planes(a, b, 0, lanes, tally);
-                    next.push(s);
-                } else {
-                    next.push(pair[0].clone());
-                }
-            }
-            level = next;
-        }
-        level
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| vec![0u64; width])
-    }
-
-    /// Word-group sibling of [`Self::sum_planes`]: each operand is `width`
-    /// bit planes of `group_words` lane-words, flattened plane-major, over
-    /// `lanes` total lanes. Same pairwise reduction; results and tallies are
-    /// bit-identical to [`Self::sum_planes`] applied per word column.
+    /// [`Self::sum`] for every lane at once, in place. `tree` holds the
+    /// operands back to back, each `width` bit planes of `words` lane-words
+    /// (plane-major); the sum ends in operand 0 and the other operands are
+    /// clobbered. The pairing is [`Self::sum`]'s, so each lane's sum and the
+    /// tally charged for the `lanes` live lanes match it exactly.
     ///
     /// # Panics
     ///
-    /// Panics if any operand is not `width * group_words` words long.
-    pub fn sum_planes_group(
+    /// Panics if `words` is zero or `tree` is not a whole number of
+    /// operands.
+    pub(crate) fn sum_planes_in_place(
         &self,
-        operands: &[Vec<u64>],
-        group_words: usize,
+        tree: &mut [u64],
+        words: usize,
         lanes: u64,
         tally: &mut GateTally,
-    ) -> Vec<u64> {
-        let width = self.width as usize;
-        for op in operands {
-            assert_eq!(op.len(), width * group_words, "operand plane-group length");
-        }
+    ) {
+        let operand = self.width as usize * words;
+        assert!(
+            operand > 0 && tree.len().is_multiple_of(operand),
+            "tree must hold whole operands of {operand} words"
+        );
+        let n = tree.len() / operand;
         let adder = RippleCarryAdder::new(self.width);
-        let mut level: Vec<Vec<u64>> = operands.to_vec();
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                if let [a, b] = pair {
-                    let (s, _carry) = adder.add_planes_group(a, b, group_words, lanes, tally);
-                    next.push(s);
-                } else {
-                    next.push(pair[0].clone());
-                }
+        // Pairwise levels in place: at stride s, operand k·2s absorbs
+        // operand k·2s + s; an unpaired last operand waits a level.
+        let mut stride = 1;
+        while stride < n {
+            let mut acc = 0;
+            while acc + stride < n {
+                let (lo, hi) = tree.split_at_mut((acc + stride) * operand);
+                let sum = &mut lo[acc * operand..(acc + 1) * operand];
+                adder.add_planes_in_place(sum, &hi[..operand], words, lanes, tally);
+                acc += 2 * stride;
             }
-            level = next;
+            stride *= 2;
         }
-        level
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| vec![0u64; width * group_words])
     }
 }
 
@@ -205,92 +170,37 @@ mod tests {
     }
 
     #[test]
-    fn sum_planes_matches_scalar_sum_per_lane() {
-        let tree = AdderTree::new(16);
-        // 5 operands, 3 lanes.
-        let lanes: [[u64; 5]; 3] = [
-            [1, 2, 3, 4, 5],
-            [100, 200, 300, 400, 500],
-            [65535, 1, 0, 9999, 123],
-        ];
-        let width = 16usize;
-        let operands: Vec<Vec<u64>> = (0..5)
+    fn sum_planes_in_place_matches_sum_per_lane() {
+        // Five operands (an unpaired one at two levels) over two lane-words,
+        // the second only partly live.
+        let (width, words, lanes) = (12usize, 2usize, 100usize);
+        let tree = AdderTree::new(width as u32);
+        let values: Vec<Vec<u64>> = (0..5u64)
             .map(|op| {
-                let mut planes = vec![0u64; width];
-                for (l, lane) in lanes.iter().enumerate() {
-                    for (i, plane) in planes.iter_mut().enumerate() {
-                        *plane |= ((lane[op] >> i) & 1) << l;
-                    }
-                }
-                planes
+                (0..lanes as u64)
+                    .map(|l| (op * 977 + l * 131) % 4096)
+                    .collect()
             })
             .collect();
-        let mut tw = GateTally::new();
-        let sum_planes = tree.sum_planes(&operands, 3, &mut tw);
-        let mut ts = GateTally::new();
-        for (l, lane) in lanes.iter().enumerate() {
-            let expect = tree.sum(lane, &mut ts);
-            let mut got = 0u64;
-            for (i, plane) in sum_planes.iter().enumerate() {
-                got |= ((plane >> l) & 1) << i;
-            }
-            assert_eq!(got, expect, "lane {l}");
-        }
-        assert_eq!(tw, ts);
-    }
-
-    #[test]
-    fn sum_planes_group_matches_per_word_sum_planes() {
-        let tree = AdderTree::new(12);
-        let width = 12usize;
-        for lanes in [1u64, 64, 70, 128, 190] {
-            let g = (lanes as usize).div_ceil(64);
-            let partial = (lanes % 64) as u32;
-            let tail_mask = if partial == 0 {
-                u64::MAX
-            } else {
-                (1u64 << partial) - 1
-            };
-            let operands: Vec<Vec<u64>> = (0..5u64)
-                .map(|op| {
-                    let mut planes = vec![0u64; width * g];
-                    for (i, word) in planes.iter_mut().enumerate() {
-                        *word = (op * 131 + i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    }
-                    for i in 0..width {
-                        planes[i * g + g - 1] &= tail_mask;
-                    }
-                    planes
-                })
-                .collect();
-            let mut tg = GateTally::new();
-            let sum_g = tree.sum_planes_group(&operands, g, lanes, &mut tg);
-            let mut tw = GateTally::new();
-            for w in 0..g {
-                let wl = (lanes - 64 * w as u64).min(64) as u32;
-                let cols: Vec<Vec<u64>> = operands
-                    .iter()
-                    .map(|op| (0..width).map(|i| op[i * g + w]).collect())
-                    .collect();
-                let sum_w = tree.sum_planes(&cols, wl, &mut tw);
-                for i in 0..width {
-                    assert_eq!(
-                        sum_g[i * g + w],
-                        sum_w[i],
-                        "plane {i} word {w} at {lanes} lanes"
-                    );
+        let mut planes = vec![0u64; values.len() * width * words];
+        for (op, vals) in values.iter().enumerate() {
+            for (l, &v) in vals.iter().enumerate() {
+                for p in 0..width {
+                    planes[(op * width + p) * words + l / 64] |= ((v >> p) & 1) << (l % 64);
                 }
             }
-            assert_eq!(tg, tw, "tally at {lanes} lanes");
         }
-    }
-
-    #[test]
-    fn sum_planes_empty_is_zero() {
-        let tree = AdderTree::new(8);
-        let mut t = GateTally::new();
-        assert_eq!(tree.sum_planes(&[], 4, &mut t), vec![0u64; 8]);
-        assert_eq!(t.total(), 0);
+        let mut tp = GateTally::new();
+        tree.sum_planes_in_place(&mut planes, words, lanes as u64, &mut tp);
+        let mut ts = GateTally::new();
+        for l in 0..lanes {
+            let column: Vec<u64> = values.iter().map(|vals| vals[l]).collect();
+            let got = (0..width).fold(0, |v, p| {
+                v | ((planes[p * words + l / 64] >> (l % 64)) & 1) << p
+            });
+            assert_eq!(got, tree.sum(&column, &mut ts), "lane {l}");
+        }
+        assert_eq!(tp, ts);
     }
 
     #[test]

@@ -58,26 +58,6 @@ impl DwGate {
             Bias::Nor => nor(a, b, tally),
         }
     }
-
-    /// Evaluates `lanes` independent copies of the gate at once, one lane
-    /// per bit of the operands (word-parallel sibling of [`Self::eval`]).
-    pub fn eval_words(&self, a: u64, b: u64, lanes: u32, tally: &mut GateTally) -> u64 {
-        match self.bias {
-            Bias::Nand => nand_words(a, b, lanes, tally),
-            Bias::Nor => nor_words(a, b, lanes, tally),
-        }
-    }
-}
-
-/// Mask selecting the low `lanes` bits of a word (`lanes <= 64`).
-#[inline]
-pub fn lane_mask(lanes: u32) -> u64 {
-    debug_assert!(lanes <= 64);
-    if lanes == 64 {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
-    }
 }
 
 /// Domain-wall inverter: the domain is flipped as it crosses the coupling.
@@ -108,6 +88,15 @@ pub fn and(a: bool, b: bool, tally: &mut GateTally) -> bool {
     not(n, tally)
 }
 
+/// Charges `gates` [`and`] traversals — a NAND and an inverter each —
+/// without evaluating them, for a datapath that evaluates its AND lanes as
+/// word operations.
+#[inline]
+pub(crate) fn charge_and(gates: u64, tally: &mut GateTally) {
+    tally.nand += gates;
+    tally.not += gates;
+}
+
 /// OR built structurally as NOR followed by an inverter.
 #[inline]
 pub fn or(a: bool, b: bool, tally: &mut GateTally) -> bool {
@@ -122,165 +111,6 @@ pub fn xor(a: bool, b: bool, tally: &mut GateTally) -> bool {
     let t2 = nand(a, t1, tally);
     let t3 = nand(b, t1, tally);
     nand(t2, t3, tally)
-}
-
-// Word-parallel gate lanes. A DW gate array evaluates one gate per lane in a
-// single traversal; the tally therefore advances by `lanes` per call —
-// exactly what `lanes` scalar calls would record, so timing/energy reports
-// derived from the tally are unchanged. Operand bits at or above `lanes` are
-// ignored; result bits there are zero.
-
-/// `lanes` domain-wall inverters evaluated in one word op.
-#[inline]
-pub fn not_words(a: u64, lanes: u32, tally: &mut GateTally) -> u64 {
-    tally.not += lanes as u64;
-    !a & lane_mask(lanes)
-}
-
-/// `lanes` NAND gates evaluated in one word op.
-#[inline]
-pub fn nand_words(a: u64, b: u64, lanes: u32, tally: &mut GateTally) -> u64 {
-    tally.nand += lanes as u64;
-    !(a & b) & lane_mask(lanes)
-}
-
-/// `lanes` NOR gates evaluated in one word op.
-#[inline]
-pub fn nor_words(a: u64, b: u64, lanes: u32, tally: &mut GateTally) -> u64 {
-    tally.nor += lanes as u64;
-    !(a | b) & lane_mask(lanes)
-}
-
-/// `lanes` ANDs, structurally NAND + inverter per lane.
-#[inline]
-pub fn and_words(a: u64, b: u64, lanes: u32, tally: &mut GateTally) -> u64 {
-    let n = nand_words(a, b, lanes, tally);
-    not_words(n, lanes, tally)
-}
-
-/// `lanes` ORs, structurally NOR + inverter per lane.
-#[inline]
-pub fn or_words(a: u64, b: u64, lanes: u32, tally: &mut GateTally) -> u64 {
-    let n = nor_words(a, b, lanes, tally);
-    not_words(n, lanes, tally)
-}
-
-/// `lanes` XORs, structurally four NANDs per lane.
-#[inline]
-pub fn xor_words(a: u64, b: u64, lanes: u32, tally: &mut GateTally) -> u64 {
-    let t1 = nand_words(a, b, lanes, tally);
-    let t2 = nand_words(a, t1, lanes, tally);
-    let t3 = nand_words(b, t1, lanes, tally);
-    nand_words(t2, t3, lanes, tally)
-}
-
-// Word-group gate lanes (PR 8): the same gate arrays evaluated over a slice
-// of lane-words at once via `rm_core::wide` (AVX2 when available, unrolled
-// portable otherwise). `lanes` is the TOTAL live lane count across the group;
-// the slice must be exactly `ceil(lanes / 64)` words, every word but the last
-// fully populated. Tallies advance by `lanes` per primitive traversal —
-// identical to what per-word `*_words` calls over the same lanes would
-// record — and dead bits in the final word are zeroed, so results, tallies
-// and all downstream timing/energy accounting are bit-identical to the word
-// path. Derived gates charge their full structural cost (AND = NAND + NOT,
-// XOR = four NANDs) even though the wide kernel computes the fused boolean
-// form in one pass: the boolean closed forms equal the masked gate
-// compositions lane-for-lane.
-
-#[inline]
-fn check_group(lanes: u64, words: usize) {
-    assert!(lanes > 0, "word-group ops need at least one lane");
-    assert_eq!(
-        (lanes as usize).div_ceil(64),
-        words,
-        "word-group slice must be exactly ceil(lanes/64) words"
-    );
-}
-
-/// Zeroes the dead bits (at or above `lanes`) in the final word of a group.
-#[inline]
-fn mask_group_tail(out: &mut [u64], lanes: u64) {
-    let partial = (lanes % 64) as u32;
-    if partial != 0 {
-        *out.last_mut().expect("non-empty group") &= lane_mask(partial);
-    }
-}
-
-/// `lanes` domain-wall inverters across a word-group in one wide pass.
-#[inline]
-pub fn not_words_group(a: &[u64], out: &mut [u64], lanes: u64, tally: &mut GateTally) {
-    check_group(lanes, a.len());
-    tally.not += lanes;
-    rm_core::wide::not_into(a, out);
-    mask_group_tail(out, lanes);
-}
-
-/// `lanes` NAND gates across a word-group in one wide pass.
-#[inline]
-pub fn nand_words_group(a: &[u64], b: &[u64], out: &mut [u64], lanes: u64, tally: &mut GateTally) {
-    check_group(lanes, a.len());
-    tally.nand += lanes;
-    rm_core::wide::nand_into(a, b, out);
-    mask_group_tail(out, lanes);
-}
-
-/// `lanes` NOR gates across a word-group in one wide pass.
-#[inline]
-pub fn nor_words_group(a: &[u64], b: &[u64], out: &mut [u64], lanes: u64, tally: &mut GateTally) {
-    check_group(lanes, a.len());
-    tally.nor += lanes;
-    rm_core::wide::nor_into(a, b, out);
-    mask_group_tail(out, lanes);
-}
-
-/// `lanes` ANDs across a word-group; charged structurally as NAND + inverter
-/// per lane, computed as one fused wide pass.
-#[inline]
-pub fn and_words_group(a: &[u64], b: &[u64], out: &mut [u64], lanes: u64, tally: &mut GateTally) {
-    check_group(lanes, a.len());
-    tally.nand += lanes;
-    tally.not += lanes;
-    rm_core::wide::and_into(a, b, out);
-    mask_group_tail(out, lanes);
-}
-
-/// `lanes` ORs across a word-group; charged structurally as NOR + inverter
-/// per lane, computed as one fused wide pass.
-#[inline]
-pub fn or_words_group(a: &[u64], b: &[u64], out: &mut [u64], lanes: u64, tally: &mut GateTally) {
-    check_group(lanes, a.len());
-    tally.nor += lanes;
-    tally.not += lanes;
-    rm_core::wide::or_into(a, b, out);
-    mask_group_tail(out, lanes);
-}
-
-/// `lanes` XORs across a word-group; charged structurally as four NANDs per
-/// lane, computed as one fused wide pass.
-#[inline]
-pub fn xor_words_group(a: &[u64], b: &[u64], out: &mut [u64], lanes: u64, tally: &mut GateTally) {
-    check_group(lanes, a.len());
-    tally.nand += 4 * lanes;
-    rm_core::wide::xor_into(a, b, out);
-    mask_group_tail(out, lanes);
-}
-
-impl DwGate {
-    /// Word-group sibling of [`Self::eval_words`]: evaluates `lanes`
-    /// independent copies of the gate across a slice of lane-words.
-    pub fn eval_words_group(
-        &self,
-        a: &[u64],
-        b: &[u64],
-        out: &mut [u64],
-        lanes: u64,
-        tally: &mut GateTally,
-    ) {
-        match self.bias {
-            Bias::Nand => nand_words_group(a, b, out, lanes, tally),
-            Bias::Nor => nor_words_group(a, b, out, lanes, tally),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -341,116 +171,6 @@ mod tests {
             assert_eq!(DwGate::new(Bias::Nor).eval(a, b, &mut t), !(a || b));
         }
         assert_eq!(DwGate::new(Bias::Nand).bias(), Bias::Nand);
-    }
-
-    #[test]
-    fn word_gates_match_scalar_gates_lane_by_lane() {
-        let a: u64 = 0xDEAD_BEEF_CAFE_F00D;
-        let b: u64 = 0x0123_4567_89AB_CDEF;
-        for lanes in [1u32, 7, 63, 64] {
-            let mut tw = GateTally::new();
-            let nw = nand_words(a, b, lanes, &mut tw);
-            let rw = nor_words(a, b, lanes, &mut tw);
-            let iw = not_words(a, lanes, &mut tw);
-            let aw = and_words(a, b, lanes, &mut tw);
-            let ow = or_words(a, b, lanes, &mut tw);
-            let xw = xor_words(a, b, lanes, &mut tw);
-            let mut ts = GateTally::new();
-            for i in 0..lanes {
-                let ab = (a >> i) & 1 == 1;
-                let bb = (b >> i) & 1 == 1;
-                assert_eq!((nw >> i) & 1 == 1, nand(ab, bb, &mut ts), "nand lane {i}");
-                assert_eq!((rw >> i) & 1 == 1, nor(ab, bb, &mut ts), "nor lane {i}");
-                assert_eq!((iw >> i) & 1 == 1, not(ab, &mut ts), "not lane {i}");
-                assert_eq!((aw >> i) & 1 == 1, and(ab, bb, &mut ts), "and lane {i}");
-                assert_eq!((ow >> i) & 1 == 1, or(ab, bb, &mut ts), "or lane {i}");
-                assert_eq!((xw >> i) & 1 == 1, xor(ab, bb, &mut ts), "xor lane {i}");
-            }
-            // Word tallies equal the sum of the per-lane scalar tallies.
-            assert_eq!(tw, ts, "tally for {lanes} lanes");
-            // Dead lanes are zeroed.
-            if lanes < 64 {
-                assert_eq!(nw & !lane_mask(lanes), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn biased_gate_word_eval_matches_scalar() {
-        let mut tw = GateTally::new();
-        let mut ts = GateTally::new();
-        for bias in [Bias::Nand, Bias::Nor] {
-            let g = DwGate::new(bias);
-            let w = g.eval_words(0b1100, 0b1010, 4, &mut tw);
-            for i in 0..4 {
-                let expect = g.eval((0b1100 >> i) & 1 == 1, (0b1010 >> i) & 1 == 1, &mut ts);
-                assert_eq!((w >> i) & 1 == 1, expect);
-            }
-        }
-        assert_eq!(tw, ts);
-    }
-
-    #[test]
-    fn group_gates_match_word_gates_word_by_word() {
-        let a: Vec<u64> = (0..5u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let b: Vec<u64> = (0..5u64)
-            .map(|i| (i + 9).wrapping_mul(0x2545_F491_4F6C_DD1D))
-            .collect();
-        for lanes in [1u64, 63, 64, 65, 200, 256, 300] {
-            let words = (lanes as usize).div_ceil(64);
-            let (a, b) = (&a[..words], &b[..words]);
-            let mut tg = GateTally::new();
-            let mut tw = GateTally::new();
-            let mut got = vec![0u64; words];
-            // For each op: group result/tally vs per-word composition.
-            type GroupFn = fn(&[u64], &[u64], &mut [u64], u64, &mut GateTally);
-            type WordFn = fn(u64, u64, u32, &mut GateTally) -> u64;
-            let pairs: [(GroupFn, WordFn); 5] = [
-                (nand_words_group, nand_words),
-                (nor_words_group, nor_words),
-                (and_words_group, and_words),
-                (or_words_group, or_words),
-                (xor_words_group, xor_words),
-            ];
-            for (group_fn, word_fn) in pairs {
-                group_fn(a, b, &mut got, lanes, &mut tg);
-                for w in 0..words {
-                    let wl = (lanes - 64 * w as u64).min(64) as u32;
-                    assert_eq!(
-                        got[w],
-                        word_fn(a[w], b[w], wl, &mut tw),
-                        "word {w} of {lanes} lanes"
-                    );
-                }
-            }
-            not_words_group(a, &mut got, lanes, &mut tg);
-            for w in 0..words {
-                let wl = (lanes - 64 * w as u64).min(64) as u32;
-                assert_eq!(got[w], not_words(a[w], wl, &mut tw), "not word {w}");
-            }
-            assert_eq!(
-                tg, tw,
-                "group tally equals summed word tallies at {lanes} lanes"
-            );
-        }
-    }
-
-    #[test]
-    fn biased_gate_group_eval_matches_word_eval() {
-        let a = [0xDEAD_BEEF_CAFE_F00Du64, 0x0123_4567_89AB_CDEF];
-        let b = [0xAAAA_5555_3333_CCCCu64, 0x0F0F_F0F0_00FF_FF00];
-        let mut tg = GateTally::new();
-        let mut tw = GateTally::new();
-        for bias in [Bias::Nand, Bias::Nor] {
-            let g = DwGate::new(bias);
-            let mut out = [0u64; 2];
-            g.eval_words_group(&a, &b, &mut out, 100, &mut tg);
-            assert_eq!(out[0], g.eval_words(a[0], b[0], 64, &mut tw));
-            assert_eq!(out[1], g.eval_words(a[1], b[1], 36, &mut tw));
-        }
-        assert_eq!(tg, tw);
     }
 
     #[test]

@@ -54,9 +54,6 @@ pub use cost::GateTally;
 pub use diode::DomainWallDiode;
 pub use duplicator::{Duplicator, DuplicatorBank};
 pub use extension::{Divider, SqrtExtractor};
-pub use gate::{
-    and, and_words, lane_mask, nand, nand_words, nor, nor_words, not, not_words, or, or_words, xor,
-    xor_words, Bias, DwGate,
-};
-pub use multiplier::{planes_to_values, transpose_to_planes, Multiplier};
+pub use gate::{and, nand, nor, not, or, xor, Bias, DwGate};
+pub use multiplier::Multiplier;
 pub use process::ProcessNode;

@@ -9,36 +9,9 @@
 
 use crate::adder_tree::AdderTree;
 use crate::cost::GateTally;
-use crate::gate::{and, and_words, and_words_group};
-use rm_core::wide::transpose64;
+use crate::gate::{and, charge_and};
+use rm_core::wide::{transpose64, GROUP_LANES};
 use serde::{Deserialize, Serialize};
-
-/// Transposes up to 64 lane values into `width` bit planes: plane `i`, bit
-/// `l` = bit `i` of `values[l]`. Values are masked to `width` bits.
-pub fn transpose_to_planes(values: &[u64], width: u32) -> Vec<u64> {
-    assert!(values.len() <= 64, "at most 64 lanes per plane word");
-    let mut planes = vec![0u64; width as usize];
-    for (l, &v) in values.iter().enumerate() {
-        for (i, plane) in planes.iter_mut().enumerate() {
-            *plane |= ((v >> i) & 1) << l;
-        }
-    }
-    planes
-}
-
-/// Inverse of [`transpose_to_planes`]: gathers `lanes` values back out of
-/// bit planes.
-pub fn planes_to_values(planes: &[u64], lanes: usize) -> Vec<u64> {
-    assert!(lanes <= 64, "at most 64 lanes per plane word");
-    (0..lanes)
-        .map(|l| {
-            planes
-                .iter()
-                .enumerate()
-                .fold(0u64, |v, (i, &plane)| v | (((plane >> l) & 1) << i))
-        })
-        .collect()
-}
 
 /// A multiplier for `width`-bit operands producing `2*width`-bit products.
 ///
@@ -134,32 +107,37 @@ impl Multiplier {
 
     /// Multiplies many independent `a[i] * b[i]` pairs with word-parallel
     /// gate lanes: operands are transposed to bit planes, the `width²` AND
-    /// partial-product gates and the adder tree evaluate 64 lanes per word
-    /// op, and the products are transposed back. Results and gate tallies
-    /// are identical to calling [`Self::multiply`] once per pair.
+    /// partial-product gates and the adder tree evaluate up to
+    /// [`GROUP_LANES`] lanes per kernel call, and the products are
+    /// transposed back. Results and gate tallies are identical to calling
+    /// [`Self::multiply`] once per pair.
     ///
     /// # Panics
     ///
     /// Panics if `a` and `b` differ in length.
     pub fn multiply_many(&self, a: &[u64], b: &[u64], tally: &mut GateTally) -> Vec<u64> {
         let mut out = Vec::with_capacity(a.len());
-        self.multiply_many_into(a, b, tally, &mut out);
+        self.multiply_many_into(a, b, tally, &mut Vec::new(), &mut out);
         out
     }
 
-    /// [`Self::multiply_many`] into a caller-provided buffer: products are
-    /// appended to `out` (callers clear and reuse it across rows so the hot
-    /// loop skips the per-call output allocation). Results and tallies are
-    /// identical to [`Self::multiply_many`].
+    /// [`Self::multiply_many`] with caller-provided buffers: products are
+    /// appended to `out`, and `planes` holds the whole plane datapath, so a
+    /// caller that reuses both across calls allocates nothing once they
+    /// have grown. `planes`' contents on entry are ignored. Results and
+    /// tallies are identical to [`Self::multiply_many`].
     ///
-    /// This is the wide path (PR 8): operands are chunked into word-groups
-    /// of up to [`rm_core::wide::GROUP_LANES`] lanes, transposed 64 lanes at
-    /// a time with the word-level [`rm_core::wide::transpose64`] (replacing
-    /// the per-bit gather), and the `width²` AND partial-product gates plus
-    /// the adder tree evaluate whole word-groups per op via the
-    /// `*_words_group` gate kernels. The single-word path is retained as
-    /// [`Self::multiply_many_words_into`]; differential tests prove both
-    /// bit-identical in results and tallies.
+    /// Operands are taken in word-groups of up to [`GROUP_LANES`] lanes, `g`
+    /// lane-words per bit plane. Per group, `planes` is one flat buffer: the
+    /// `width` planes of each operand, then `width` tree operands of
+    /// `2 * width` planes each. Operand planes come from a word-level
+    /// [`transpose64`] of 64 lanes at a time. Tree operand `i` is partial
+    /// product `(a AND b_i) << i`: its plane `i + j` is the AND of `a`'s plane
+    /// `j` with `b`'s plane `i`, and its other planes are zero. The adder
+    /// tree then sums the operands in place with [`AdderTree::sum`]'s
+    /// pairing; the product planes end in operand 0 and are transposed
+    /// back. The AND lanes and the tree charge the tally what the scalar
+    /// gate compositions charge.
     ///
     /// # Panics
     ///
@@ -169,6 +147,7 @@ impl Multiplier {
         a: &[u64],
         b: &[u64],
         tally: &mut GateTally,
+        planes: &mut Vec<u64>,
         out: &mut Vec<u64>,
     ) {
         assert_eq!(a.len(), b.len(), "operand vectors must pair up");
@@ -177,98 +156,49 @@ impl Multiplier {
         let mask = (1u64 << self.width) - 1;
         out.reserve(a.len());
         let mut buf = [0u64; 64];
-        for (ca, cb) in a
-            .chunks(rm_core::wide::GROUP_LANES)
-            .zip(b.chunks(rm_core::wide::GROUP_LANES))
-        {
+        for (ca, cb) in a.chunks(GROUP_LANES).zip(b.chunks(GROUP_LANES)) {
             let lanes = ca.len();
-            let lanes_u64 = lanes as u64;
             let g = lanes.div_ceil(64);
-            // Forward transpose, one 64-lane word at a time: plane i of word
-            // group column wi lives at planes[i * g + wi].
-            let mut a_planes = vec![0u64; w * g];
-            let mut b_planes = vec![0u64; w * g];
-            for (operand, planes) in [(ca, &mut a_planes), (cb, &mut b_planes)] {
-                for (wi, sub) in operand.chunks(64).enumerate() {
+            let operand_words = w * g;
+            let tree_words = pw * g;
+            planes.clear();
+            planes.resize(2 * operand_words + w * tree_words, 0);
+            let (operands, tree) = planes.split_at_mut(2 * operand_words);
+            // Forward transpose, 64 lanes at a time: plane i of lane-word
+            // column wi lives at [i * g + wi].
+            for (values, dst) in [(ca, 0), (cb, operand_words)] {
+                for (wi, sub) in values.chunks(64).enumerate() {
                     buf.fill(0);
-                    for (l, &v) in sub.iter().enumerate() {
-                        buf[l] = v & mask;
+                    for (slot, &v) in buf.iter_mut().zip(sub) {
+                        *slot = v & mask;
                     }
                     transpose64(&mut buf);
-                    for (i, chunk) in planes.chunks_mut(g).enumerate() {
-                        chunk[wi] = buf[i];
+                    for (i, &plane) in buf[..w].iter().enumerate() {
+                        operands[dst + i * g + wi] = plane;
                     }
                 }
             }
-            // Partial product i = (a AND b_i) << i in plane-group form: its
-            // plane i+j is the AND of a's plane j with bit i of b, evaluated
-            // over the whole word-group at once.
-            let pps: Vec<Vec<u64>> = (0..w)
-                .map(|i| {
-                    let mut planes = vec![0u64; pw * g];
-                    for j in 0..w {
-                        and_words_group(
-                            &a_planes[j * g..(j + 1) * g],
-                            &b_planes[i * g..(i + 1) * g],
-                            &mut planes[(i + j) * g..(i + j + 1) * g],
-                            lanes_u64,
-                            tally,
-                        );
+            let (a_planes, b_planes) = operands.split_at(operand_words);
+            for (i, pp) in tree.chunks_exact_mut(tree_words).enumerate() {
+                let b_i = &b_planes[i * g..(i + 1) * g];
+                let shifted = &mut pp[i * g..(i + w) * g];
+                for (dst, a_j) in shifted.chunks_exact_mut(g).zip(a_planes.chunks_exact(g)) {
+                    for ((d, &x), &y) in dst.iter_mut().zip(a_j).zip(b_i) {
+                        *d = x & y;
                     }
-                    planes
-                })
-                .collect();
-            let product_planes = self.tree.sum_planes_group(&pps, g, lanes_u64, tally);
-            // Back-transpose each word column and gather the live lanes.
-            for wi in 0..g {
+                }
+            }
+            charge_and((w * w * lanes) as u64, tally);
+            self.tree.sum_planes_in_place(tree, g, lanes as u64, tally);
+            // Back-transpose operand 0 per lane-word column.
+            for (wi, sub) in ca.chunks(64).enumerate() {
                 buf.fill(0);
-                for j in 0..pw {
-                    buf[j] = product_planes[j * g + wi];
+                for (slot, &plane) in buf.iter_mut().zip(tree[wi..tree_words].iter().step_by(g)) {
+                    *slot = plane;
                 }
                 transpose64(&mut buf);
-                let sub_lanes = (lanes - wi * 64).min(64);
-                out.extend_from_slice(&buf[..sub_lanes]);
+                out.extend_from_slice(&buf[..sub.len()]);
             }
-        }
-    }
-
-    /// The retained single-word path of [`Self::multiply_many_into`]:
-    /// transposes per 64-lane chunk with the scalar gather and evaluates one
-    /// lane-word per gate op. Kept as the differential reference (and bench
-    /// comparison point) for the wide path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` differ in length.
-    pub fn multiply_many_words_into(
-        &self,
-        a: &[u64],
-        b: &[u64],
-        tally: &mut GateTally,
-        out: &mut Vec<u64>,
-    ) {
-        assert_eq!(a.len(), b.len(), "operand vectors must pair up");
-        let w = self.width as usize;
-        let pw = 2 * w;
-        out.reserve(a.len());
-        for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            let lanes = ca.len() as u32;
-            let a_planes = transpose_to_planes(ca, self.width);
-            let b_planes = transpose_to_planes(cb, self.width);
-            // Partial product i = (a AND b_i) << i, expressed directly in
-            // plane form: its plane i+j is the AND of a's plane j with bit i
-            // of b across all lanes.
-            let pps: Vec<Vec<u64>> = (0..w)
-                .map(|i| {
-                    let mut planes = vec![0u64; pw];
-                    for j in 0..w {
-                        planes[i + j] = and_words(a_planes[j], b_planes[i], lanes, tally);
-                    }
-                    planes
-                })
-                .collect();
-            let product_planes = self.tree.sum_planes(&pps, lanes, tally);
-            out.extend(planes_to_values(&product_planes, ca.len()));
         }
     }
 }
@@ -356,20 +286,29 @@ mod tests {
     }
 
     #[test]
-    fn multiply_many_wide_matches_word_path_and_tally() {
-        let m = Multiplier::new(8);
-        // Cross a group boundary (512 lanes) and leave a ragged tail.
-        for n in [1usize, 63, 64, 65, 511, 512, 700] {
-            let a: Vec<u64> = (0..n as u64).map(|i| (i * 37) % 256).collect();
-            let b: Vec<u64> = (0..n as u64).map(|i| (i * 91 + 13) % 256).collect();
-            let mut tg = GateTally::new();
-            let mut wide = Vec::new();
-            m.multiply_many_into(&a, &b, &mut tg, &mut wide);
-            let mut tw = GateTally::new();
-            let mut word = Vec::new();
-            m.multiply_many_words_into(&a, &b, &mut tw, &mut word);
-            assert_eq!(wide, word, "products at {n} lanes");
-            assert_eq!(tg, tw, "tally at {n} lanes");
+    fn multiply_many_matches_scalar_across_group_boundaries() {
+        // Cross the 64-lane word and 512-lane group boundaries with ragged
+        // tails, at an odd width (an unpaired tree operand every level) and
+        // through one reused plane buffer.
+        for width in [8u32, 5] {
+            let m = Multiplier::new(width);
+            let mut planes = Vec::new();
+            for n in [1usize, 63, 64, 65, 511, 512, 700] {
+                let a: Vec<u64> = (0..n as u64).map(|i| i * 37 + 5).collect();
+                let b: Vec<u64> = (0..n as u64).map(|i| i * 91 + 13).collect();
+                let mut tg = GateTally::new();
+                let mut wide = vec![7];
+                m.multiply_many_into(&a, &b, &mut tg, &mut planes, &mut wide);
+                let mut ts = GateTally::new();
+                let scalar: Vec<u64> = a
+                    .iter()
+                    .zip(&b)
+                    .map(|(&x, &y)| m.multiply(x, y, &mut ts))
+                    .collect();
+                assert_eq!(wide[0], 7, "products append to `out`");
+                assert_eq!(wide[1..], scalar, "products at width {width}, {n} lanes");
+                assert_eq!(tg, ts, "tally at width {width}, {n} lanes");
+            }
         }
     }
 
@@ -379,17 +318,6 @@ mod tests {
         let mut t = GateTally::new();
         assert!(m.multiply_many(&[], &[], &mut t).is_empty());
         assert_eq!(t.total(), 0);
-    }
-
-    #[test]
-    fn transpose_round_trips() {
-        let values: Vec<u64> = (0..64).map(|i| i * 3 % 256).collect();
-        let planes = transpose_to_planes(&values, 8);
-        assert_eq!(planes.len(), 8);
-        assert_eq!(planes_to_values(&planes, 64), values);
-        // Masking to width applies on the way in.
-        let planes = transpose_to_planes(&[0x1FF], 8);
-        assert_eq!(planes_to_values(&planes, 1), vec![0xFF]);
     }
 
     #[test]

@@ -21,26 +21,26 @@ use crate::device::Parallelism;
 use crate::error::PimError;
 use crate::Result;
 use rm_bus::{Delivery, SegmentedBus};
-use rm_core::{BufferProbe, Probe, ShiftFaultModel, Subarray, WearTracker};
+use rm_core::{BufferProbe, NullProbe, Probe, ShiftFaultModel, Subarray, WearTracker};
 use rm_proc::{ProcScratch, RmProcessor};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Bus segments in the functional in-subarray buses.
 const BUS_SEGMENTS: usize = 8;
 
-/// Reusable buffers for the hot streaming loops of [`SubarrayFlow`]. Owned
-/// by each flow instance so repeated dots — and the per-lane shards of
-/// [`DeviceFlow`] — allocate nothing per row.
+/// Reusable buffers for the streams and the processor of [`SubarrayFlow`]:
+/// the bus words of one stream, its deliveries, both operand vectors and the
+/// processor's scratch. Owned by each flow instance, so once they have grown
+/// a dot allocates only for the mat rows themselves: one packed row per
+/// operand row shifted out, and the packing of the result rows shifted back
+/// in.
 #[derive(Debug, Clone, Default)]
 struct FlowScratch {
     proc: ProcScratch,
+    words: Vec<u64>,
     deliveries: Vec<Delivery>,
-    pending: VecDeque<u64>,
-    a_bytes: Vec<u8>,
-    b_bytes: Vec<u8>,
-    a_words: Vec<u64>,
-    b_words: Vec<u64>,
+    a: Vec<u64>,
+    b: Vec<u64>,
 }
 
 /// A functional PIM subarray: mats + buses + processor.
@@ -133,20 +133,21 @@ impl SubarrayFlow {
         Ok(out)
     }
 
-    /// Streams `rows` rows starting at `row` onto the to-processor bus via
-    /// the non-destructive transfer-track path, appending the delivered
-    /// words at the processor tap to `out` (Figure 13 steps ① and ②). The
-    /// `pending`/`deliveries` buffers are caller scratch, cleared here.
-    fn stream_to_processor_into(
+    /// Streams the rows holding `len` elements from `row` on to the
+    /// processor tap via the non-destructive transfer-track path (Figure 13
+    /// steps ① and ②) and sets `elements` to those elements. The bus applies
+    /// the stream in closed form ([`SegmentedBus::stream_words_into`]);
+    /// `words`/`deliveries` are scratch.
+    fn stream_to_processor(
         &mut self,
         row: usize,
-        n_rows: usize,
-        pending: &mut VecDeque<u64>,
+        len: usize,
+        words: &mut Vec<u64>,
         deliveries: &mut Vec<Delivery>,
-        out: &mut Vec<u8>,
+        elements: &mut Vec<u64>,
     ) -> Result<()> {
-        pending.clear();
-        for i in 0..n_rows {
+        words.clear();
+        for i in 0..len.div_ceil(self.elements_per_row()) {
             let (mat, local) = self.subarray.locate_row(row + i)?;
             let mat_ref = self.subarray.mat_mut(mat)?;
             // Non-destructive read: fan-out copy, then shift the replica out.
@@ -154,74 +155,51 @@ impl SubarrayFlow {
             // lanes match `pack`'s little-endian byte layout).
             mat_ref.copy_row_to_transfer(local)?;
             let packed = mat_ref.shift_out_transfer_row_packed(local)?;
-            pending.push_back(packed.words().first().copied().unwrap_or(0));
+            words.push(packed.words().first().copied().unwrap_or(0));
         }
         // Pipelined injection: one data segment per couple, empty gaps kept.
-        let epr = self.elements_per_row();
-        let target = out.len() + n_rows * epr;
-        let mut guard = 0;
-        while out.len() < target {
-            if let Some(&word) = pending.front() {
-                if self.to_proc.try_inject(0, word, BUS_SEGMENTS - 1) {
-                    pending.pop_front();
-                }
-            }
-            deliveries.clear();
-            self.to_proc.cycle_into(deliveries);
-            for delivery in &*deliveries {
-                let data = delivery.packet.data;
-                out.extend((0..epr.min(8)).map(|i| (data >> (8 * i)) as u8));
-            }
-            guard += 1;
-            if guard > 10_000 {
-                return Err(PimError::Config("bus failed to drain".into()));
-            }
-        }
+        deliveries.clear();
+        self.to_proc
+            .stream_words_into(0, BUS_SEGMENTS - 1, words, deliveries);
+        let epr = self.elements_per_row().min(8);
+        elements.clear();
+        elements.extend(
+            deliveries
+                .iter()
+                .flat_map(|d| (0..epr).map(move |i| (d.packet.data >> (8 * i)) & 0xFF))
+                .take(len),
+        );
         Ok(())
     }
 
     /// Returns the result vector to `dst_row` over the return bus
-    /// (Figure 13 steps ④ and ⑤): words shift in, no write operations.
+    /// (Figure 13 steps ④ and ⑤): words shift in, no write operations. The
+    /// bus applies the stream in closed form; `words`/`deliveries` are
+    /// scratch.
     fn stream_from_processor(
         &mut self,
         dst_row: usize,
         bytes: &[u8],
+        words: &mut Vec<u64>,
         deliveries: &mut Vec<Delivery>,
     ) -> Result<()> {
         let epr = self.elements_per_row();
-        let mut chunks: std::collections::VecDeque<(usize, u64)> = bytes
-            .chunks(epr)
-            .enumerate()
-            .map(|(i, c)| {
-                let mut padded = vec![0u8; epr];
-                padded[..c.len()].copy_from_slice(c);
-                (i, pack(&padded))
-            })
-            .collect();
-        let mut arrived = 0;
-        let total = chunks.len().max(1);
-        let mut guard = 0;
-        while arrived < total && !(chunks.is_empty() && self.from_proc.is_empty()) {
-            if let Some(&(_, word)) = chunks.front() {
-                if self.from_proc.try_inject(0, word, BUS_SEGMENTS - 1) {
-                    chunks.pop_front();
-                }
-            }
-            deliveries.clear();
-            self.from_proc.cycle_into(deliveries);
-            for delivery in &*deliveries {
-                let data = unpack(delivery.packet.data, epr);
-                let packed = rm_core::PackedBits::from_bytes_lsb(&data, epr * 8);
-                let (mat, local) = self.subarray.locate_row(dst_row + arrived)?;
-                self.subarray
-                    .mat_mut(mat)?
-                    .shift_in_row_packed(local, &packed)?;
-                arrived += 1;
-            }
-            guard += 1;
-            if guard > 10_000 {
-                return Err(PimError::Config("return bus failed to drain".into()));
-            }
+        words.clear();
+        words.extend(bytes.chunks(epr).map(|c| {
+            let mut padded = vec![0u8; epr];
+            padded[..c.len()].copy_from_slice(c);
+            pack(&padded)
+        }));
+        deliveries.clear();
+        self.from_proc
+            .stream_words_into(0, BUS_SEGMENTS - 1, words, deliveries);
+        for (arrived, delivery) in deliveries.iter().enumerate() {
+            let data = unpack(delivery.packet.data, epr);
+            let packed = rm_core::PackedBits::from_bytes_lsb(&data, epr * 8);
+            let (mat, local) = self.subarray.locate_row(dst_row + arrived)?;
+            self.subarray
+                .mat_mut(mat)?
+                .shift_in_row_packed(local, &packed)?;
         }
         Ok(())
     }
@@ -234,15 +212,17 @@ impl SubarrayFlow {
     ///
     /// Returns memory errors for bad spans.
     pub fn dot(&mut self, a_row: usize, b_row: usize, len: usize, dst_row: usize) -> Result<u64> {
-        self.dot_probed(a_row, b_row, len, dst_row, &rm_core::NullProbe, "proc")
+        self.dot_probed(a_row, b_row, len, dst_row, &NullProbe, "proc")
     }
 
     /// [`SubarrayFlow::dot`] with per-stage attribution recorded on `probe`
     /// under `{prefix}/duplicator`, `{prefix}/multiplier` and
     /// `{prefix}/adder_tree` (see [`RmProcessor::dot_probed`]). Result and
-    /// hardware state are identical to the unprobed call. All intermediate
-    /// buffers come from the flow's own scratch, so repeated dots — and the
-    /// per-lane shards of [`DeviceFlow`] — allocate nothing per row.
+    /// hardware state are identical to the unprobed call. The streams, the
+    /// operand vectors and the processor's planes use the flow's own
+    /// scratch, so a warm dot allocates only for the mat rows: a packed
+    /// row per operand row shifted out, and the packing of the two result
+    /// rows shifted back in.
     ///
     /// # Errors
     ///
@@ -256,37 +236,20 @@ impl SubarrayFlow {
         probe: &dyn Probe,
         prefix: &str,
     ) -> Result<u64> {
-        let epr = self.elements_per_row();
-        let n_rows = len.div_ceil(epr);
         let mut s = std::mem::take(&mut self.scratch);
         let result = (|| {
-            s.a_bytes.clear();
-            self.stream_to_processor_into(
-                a_row,
-                n_rows,
-                &mut s.pending,
-                &mut s.deliveries,
-                &mut s.a_bytes,
-            )?;
-            s.b_bytes.clear();
-            self.stream_to_processor_into(
-                b_row,
-                n_rows,
-                &mut s.pending,
-                &mut s.deliveries,
-                &mut s.b_bytes,
-            )?;
-            s.a_words.clear();
-            s.a_words
-                .extend(s.a_bytes.iter().take(len).map(|&x| x as u64));
-            s.b_words.clear();
-            s.b_words
-                .extend(s.b_bytes.iter().take(len).map(|&x| x as u64));
+            self.stream_to_processor(a_row, len, &mut s.words, &mut s.deliveries, &mut s.a)?;
+            self.stream_to_processor(b_row, len, &mut s.words, &mut s.deliveries, &mut s.b)?;
             // Figure 13 step ③: the RM processor pipeline.
             let (result, _tally) =
                 self.processor
-                    .dot_probed_with(&s.a_words, &s.b_words, probe, prefix, &mut s.proc);
-            self.stream_from_processor(dst_row, &(result as u32).to_le_bytes(), &mut s.deliveries)?;
+                    .dot_probed_with(&s.a, &s.b, probe, prefix, &mut s.proc);
+            self.stream_from_processor(
+                dst_row,
+                &(result as u32).to_le_bytes(),
+                &mut s.words,
+                &mut s.deliveries,
+            )?;
             Ok(result)
         })();
         self.scratch = s;
@@ -533,7 +496,8 @@ impl DeviceFlow {
     /// [`DeviceFlow::gemv`] with per-lane pipeline attribution: lane `s`
     /// records under `lane{s}/…`, buffered per shard and replayed onto
     /// `probe` in lane order (identical record sequence at any worker
-    /// count).
+    /// count). A disabled `probe` is passed straight to the lanes, so
+    /// nothing is buffered or formatted.
     ///
     /// # Errors
     ///
@@ -550,16 +514,21 @@ impl DeviceFlow {
         self.check_shape(a.len(), m, k, x.len(), k, 1)?;
         let n_lanes = self.lanes.len();
         let workers = parallelism.resolve_here().min(n_lanes);
-        let buffers: Vec<BufferProbe> = (0..n_lanes).map(|_| BufferProbe::new()).collect();
-        let shards = rm_core::run_sharded(&mut self.lanes, workers, |s, lane| {
-            lane.gemv_rows(a, x, m, k, s, n_lanes, &buffers[s], &lane_prefix(s))
-        });
+        let buffered = if probe.enabled() { n_lanes } else { 0 };
+        let buffers: Vec<BufferProbe> = (0..buffered).map(|_| BufferProbe::new()).collect();
+        let shards =
+            rm_core::run_sharded(&mut self.lanes, workers, |s, lane| match buffers.get(s) {
+                Some(buffer) => lane.gemv_rows(a, x, m, k, s, n_lanes, buffer, &lane_prefix(s)),
+                None => lane.gemv_rows(a, x, m, k, s, n_lanes, &NullProbe, "proc"),
+            });
         let mut y = vec![0u64; m];
-        for (buffer, shard) in buffers.iter().zip(shards) {
+        for (s, shard) in shards.into_iter().enumerate() {
             for (row, value) in shard? {
                 y[row] = value;
             }
-            buffer.replay(probe);
+            if let Some(buffer) = buffers.get(s) {
+                buffer.replay(probe);
+            }
         }
         Ok(y)
     }
@@ -586,7 +555,7 @@ impl DeviceFlow {
         let n_lanes = self.lanes.len();
         let workers = parallelism.resolve_here().min(n_lanes);
         let shards = rm_core::run_sharded(&mut self.lanes, workers, |s, lane| {
-            lane.gemm_rows(a, b, m, k, n, s, n_lanes, &rm_core::NullProbe, "proc")
+            lane.gemm_rows(a, b, m, k, n, s, n_lanes, &NullProbe, "proc")
         });
         let mut c = vec![0u64; m * n];
         for shard in shards {
@@ -701,6 +670,43 @@ mod tests {
             flow.read_vector(0, 6).unwrap(),
             a,
             "save tracks keep the data"
+        );
+    }
+
+    #[test]
+    fn bus_counters_after_a_dot_sequence_are_frozen() {
+        // Every hop, inject and delivery of both buses over dots of several
+        // lengths, frozen so a stream rewrite cannot move them unnoticed.
+        let mut flow = SubarrayFlow::new().unwrap();
+        let a: Vec<u8> = (0..32u32).map(|i| (i * 37 + 5) as u8).collect();
+        let b: Vec<u8> = (0..32u32).map(|i| (i * 91 + 3) as u8).collect();
+        flow.load_vector(0, &a).unwrap();
+        flow.load_vector(16, &b).unwrap();
+        let results: Vec<u64> = [(32, 32), (1, 40), (7, 48), (17, 34), (2, 32)]
+            .into_iter()
+            .map(|(len, dst)| flow.dot(0, 16, len, dst).unwrap())
+            .collect();
+        let counters = |bus: &SegmentedBus| {
+            [
+                bus.cycles(),
+                bus.injected(),
+                bus.delivered(),
+                bus.segment_shifts(),
+            ]
+        };
+        assert_eq!(
+            (
+                results,
+                counters(&flow.to_proc),
+                counters(&flow.from_proc),
+                flow.shifts()
+            ),
+            (
+                vec![437840, 15, 84660, 227223, 3963],
+                [174, 62, 62, 434],
+                [45, 10, 10, 70],
+                683
+            )
         );
     }
 

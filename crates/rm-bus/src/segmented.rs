@@ -206,7 +206,7 @@ impl SegmentedBus {
     ///
     /// When the bus starts empty — the overwhelmingly common case on the
     /// device's row-streaming path — the whole stream is applied as one bulk
-    /// closed-form update (PR 8) instead of simulating cycle by cycle. The
+    /// closed-form update instead of simulating cycle by cycle. The
     /// schedule of an inject-ASAP stream on an empty unidirectional bus is
     /// fully determined: with hop distance `d = dst - src`, word `i` is
     /// injected at cycle `2i` (every cycle when `d == 1`, since the slot
@@ -221,21 +221,49 @@ impl SegmentedBus {
     /// Panics if `src`/`dst` are out of range (see [`Self::try_inject`]) or
     /// if the route is invalid (`dst <= src`) for a non-empty stream.
     pub fn stream_words(&mut self, src: usize, dst: usize, words: &[u64]) -> Vec<Delivery> {
+        let mut out = Vec::with_capacity(words.len());
+        self.stream_words_into(src, dst, words, &mut out);
+        out
+    }
+
+    /// Allocation-free [`Self::stream_words`]: appends the stream's
+    /// deliveries to `out` (which the caller typically clears and reuses
+    /// across streams). Closed form on an empty bus, the cycle-by-cycle
+    /// loop when traffic is already in flight — then `out` also receives
+    /// that traffic's deliveries, as [`Self::stream_words`] returns them.
+    ///
+    /// # Panics
+    ///
+    /// See [`Self::stream_words`].
+    pub fn stream_words_into(
+        &mut self,
+        src: usize,
+        dst: usize,
+        words: &[u64],
+        out: &mut Vec<Delivery>,
+    ) {
         if words.is_empty() {
-            return Vec::new();
+            return;
         }
         assert!(src < self.segments.len(), "src tap out of range");
         assert!(dst < self.segments.len(), "dst tap out of range");
         assert!(dst > src, "stream route must move forward on the bus");
         if self.is_empty() {
-            return self.stream_words_bulk(src, dst, words);
+            self.stream_words_bulk(src, dst, words, out);
+        } else {
+            self.stream_words_cycled(src, dst, words, out);
         }
-        self.stream_words_cycled(src, dst, words)
     }
 
     /// Closed-form bulk application of an inject-ASAP stream on an empty
     /// bus (see [`Self::stream_words`] for the derivation).
-    fn stream_words_bulk(&mut self, src: usize, dst: usize, words: &[u64]) -> Vec<Delivery> {
+    fn stream_words_bulk(
+        &mut self,
+        src: usize,
+        dst: usize,
+        words: &[u64],
+        out: &mut Vec<Delivery>,
+    ) {
         let d = (dst - src) as u64;
         let n = words.len() as u64;
         let start = self.cycles;
@@ -243,23 +271,18 @@ impl SegmentedBus {
         // entry slot immediately, so a new word enters every cycle. d >= 2:
         // the empty-gap invariant admits a new word every other cycle.
         let step = if d == 1 { 1 } else { 2 };
-        let out: Vec<Delivery> = words
-            .iter()
-            .enumerate()
-            .map(|(i, &data)| Delivery {
-                packet: Packet {
-                    data,
-                    dst,
-                    injected_at: start + step * i as u64,
-                },
-                latency_cycles: d,
-            })
-            .collect();
+        out.extend(words.iter().enumerate().map(|(i, &data)| Delivery {
+            packet: Packet {
+                data,
+                dst,
+                injected_at: start + step * i as u64,
+            },
+            latency_cycles: d,
+        }));
         self.cycles = start + step * (n - 1) + d;
         self.injected += n;
         self.delivered += n;
         self.segment_shifts += n * d;
-        out
     }
 
     /// The cycle-by-cycle reference for [`Self::stream_words`], forced even
@@ -276,20 +299,28 @@ impl SegmentedBus {
         dst: usize,
         words: &[u64],
     ) -> Vec<Delivery> {
+        let mut out = Vec::with_capacity(words.len());
         if words.is_empty() {
-            return Vec::new();
+            return out;
         }
         assert!(src < self.segments.len(), "src tap out of range");
         assert!(dst < self.segments.len(), "dst tap out of range");
         assert!(dst > src, "stream route must move forward on the bus");
-        self.stream_words_cycled(src, dst, words)
+        self.stream_words_cycled(src, dst, words, &mut out);
+        out
     }
 
     /// The retained cycle-by-cycle stream loop, used when the bus already
     /// carries traffic and as the differential reference for
-    /// [`Self::stream_words_bulk`].
-    fn stream_words_cycled(&mut self, src: usize, dst: usize, words: &[u64]) -> Vec<Delivery> {
-        let mut out = Vec::with_capacity(words.len());
+    /// [`Self::stream_words_bulk`]. Appends every delivery to `out`.
+    fn stream_words_cycled(
+        &mut self,
+        src: usize,
+        dst: usize,
+        words: &[u64],
+        out: &mut Vec<Delivery>,
+    ) {
+        let first = out.len();
         let mut pending = words.iter();
         let mut next = pending.next();
         // Fill (len) + 2 cycles per word + slack, times 4 for stalls from
@@ -301,16 +332,15 @@ impl SegmentedBus {
                     next = pending.next();
                 }
             }
-            out.extend(self.cycle());
+            self.cycle_into(out);
             if next.is_none() && self.is_empty() {
                 break;
             }
         }
         assert!(
-            out.len() >= words.len(),
+            out.len() - first >= words.len(),
             "bus stream failed to drain within the cycle guard"
         );
-        out
     }
 
     /// Streams a packed row as its `u64` backing words (see
@@ -603,7 +633,7 @@ mod tests {
                 bulk.cycles = 5; // a non-zero starting clock must carry over
                 let mut cycled = bulk.clone();
                 let out_bulk = bulk.stream_words(src, dst, &words);
-                let out_cycled = cycled.stream_words_cycled(src, dst, &words);
+                let out_cycled = cycled.stream_words_cycled_reference(src, dst, &words);
                 assert_eq!(out_bulk, out_cycled, "deliveries src {src} dst {dst} n {n}");
                 assert_eq!(bulk, cycled, "bus state src {src} dst {dst} n {n}");
             }
@@ -627,6 +657,27 @@ mod tests {
         assert_eq!(datas, words);
         assert_eq!(out.len(), 11, "pre-existing packet also delivered");
         assert!(bus.is_empty());
+    }
+
+    #[test]
+    fn stream_words_into_appends_what_stream_words_returns() {
+        // Empty bus (closed form) and a bus with traffic in flight (loop),
+        // into one reused buffer that already holds a delivery.
+        let words: Vec<u64> = (0..9).map(|i| 0xC0 + i).collect();
+        for busy in [false, true] {
+            let mut into = SegmentedBus::new(8);
+            if busy {
+                assert!(into.try_inject(2, 0xFEED, 6));
+            }
+            let mut plain = into.clone();
+            let mut out = plain.stream_words(0, 7, &words[..1]);
+            into.stream_words(0, 7, &words[..1]);
+            let held = out.clone();
+            into.stream_words_into(0, 7, &words, &mut out);
+            assert_eq!(out[..held.len()], held[..], "busy {busy}: appended");
+            assert_eq!(out[held.len()..], plain.stream_words(0, 7, &words)[..]);
+            assert_eq!(into, plain, "busy {busy}: bus state");
+        }
     }
 
     #[test]

@@ -15,13 +15,16 @@ use dw_logic::multiplier::Multiplier;
 
 /// Caller-provided scratch for the processor's vector hot paths.
 ///
-/// Holds the intermediate product stream of [`RmProcessor::dot_with`] so a
-/// caller looping over many rows (or a shard of a parallel run) reuses one
-/// buffer instead of allocating per call. Scratch lives *outside* the
-/// processor on purpose: differential tests compare whole processors with
-/// `==`, and transient buffers must not participate in that state.
+/// Holds the multiplier's plane datapath and the product stream of
+/// [`RmProcessor::dot_with`], so a caller looping over many rows (or a
+/// shard of a parallel run) reuses two buffers instead of allocating per
+/// call: once they have grown to the longest vector seen, a dot allocates
+/// nothing. Scratch lives *outside* the processor on purpose: differential
+/// tests compare whole processors with `==`, and transient buffers must not
+/// participate in that state.
 #[derive(Debug, Clone, Default)]
 pub struct ProcScratch {
+    planes: Vec<u64>,
     products: Vec<u64>,
 }
 
@@ -104,12 +107,12 @@ impl RmProcessor {
 
     /// Dot product of two element slices (values masked to `width` bits).
     ///
-    /// Runs the wide word-group datapath: the duplicator bank accounts all
+    /// Runs the plane datapath: the duplicator bank accounts all
     /// replications in bulk, the multiplier evaluates up to
-    /// [`rm_core::wide::GROUP_LANES`] scalar products per plane-group gate
-    /// op, and the circle adder accumulates the product stream in one pass.
-    /// Results, gate tallies, and unit state are identical to
-    /// [`Self::dot_words`] and [`Self::dot_scalar`].
+    /// [`rm_core::wide::GROUP_LANES`] scalar products per kernel call
+    /// ([`Multiplier::multiply_many_into`]), and the circle adder
+    /// accumulates the product stream in one pass. Results, gate tallies,
+    /// and unit state are identical to [`Self::dot_scalar`].
     ///
     /// Returns the result and the accumulated gate tally.
     ///
@@ -123,7 +126,7 @@ impl RmProcessor {
     /// [`Self::dot`] with per-stage attribution: the gate-op delta of each
     /// pipeline stage is recorded on `probe` under `{prefix}/duplicator`
     /// (stage 2a), `{prefix}/multiplier` (stages 2b-3: partial products and
-    /// the product adder tree, whose tallies are fused in the word path) and
+    /// the product adder tree, whose tallies are fused in the plane datapath) and
     /// `{prefix}/adder_tree` (stage 4: the circle-adder accumulation).
     /// Result, tally, and unit state are identical to the unprobed call.
     ///
@@ -140,10 +143,10 @@ impl RmProcessor {
         self.dot_probed_with(a, b, probe, prefix, &mut ProcScratch::new())
     }
 
-    /// [`Self::dot`] with caller-provided scratch: the intermediate product
-    /// stream lands in `scratch` instead of a fresh allocation, so per-row
-    /// callers (and allocation-free shards) reuse one buffer. Result, tally,
-    /// and unit state are identical to [`Self::dot`].
+    /// [`Self::dot`] with caller-provided scratch: the multiplier's planes
+    /// and the product stream land in `scratch` instead of fresh
+    /// allocations, so a warm per-row caller (or shard) allocates nothing.
+    /// Result, tally, and unit state are identical to [`Self::dot`].
     ///
     /// # Panics
     ///
@@ -178,11 +181,17 @@ impl RmProcessor {
         self.duplicators
             .replicate_bulk(self.width as usize, a.len() as u64, &mut tally);
         let after_dup = tally.total();
-        // Stages 2b-3: plane-form partial products and adder tree, 64
-        // elements per gate word. Operands are masked inside the transpose.
+        // Stages 2b-3: plane-form partial products and adder tree, up to a
+        // word-group of elements per kernel call. Operands are masked inside
+        // the transpose.
         scratch.products.clear();
-        self.multiplier
-            .multiply_many_into(a, b, &mut tally, &mut scratch.products);
+        self.multiplier.multiply_many_into(
+            a,
+            b,
+            &mut tally,
+            &mut scratch.planes,
+            &mut scratch.products,
+        );
         let after_mul = tally.total();
         // Stage 4: the circle adder accumulates the product stream.
         self.circle.accumulate_many(&scratch.products, &mut tally);
@@ -196,34 +205,10 @@ impl RmProcessor {
         (self.circle.take_result(), tally)
     }
 
-    /// Single-word reference datapath for [`Self::dot`]: same bulk staging,
-    /// but the multiplier evaluates one 64-lane word per gate op
-    /// ([`Multiplier::multiply_many_words_into`]) instead of a wide
-    /// word-group. Retained for differential tests and as the bench
-    /// comparison point for the wide path; must match [`Self::dot`]
-    /// bit-for-bit in result, tally, and unit state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn dot_words(&mut self, a: &[u64], b: &[u64]) -> (u64, GateTally) {
-        assert_eq!(a.len(), b.len(), "dot product needs equal-length vectors");
-        let mut tally = GateTally::new();
-        self.circle.reset();
-        self.duplicators
-            .replicate_bulk(self.width as usize, a.len() as u64, &mut tally);
-        let mut products = Vec::new();
-        self.multiplier
-            .multiply_many_words_into(a, b, &mut tally, &mut products);
-        self.circle.accumulate_many(&products, &mut tally);
-        self.ops_executed += 1;
-        (self.circle.take_result(), tally)
-    }
-
     /// Serial reference datapath for [`Self::dot`]: one element at a time
     /// through duplicators → multiplier → tree → circle adder. Retained for
-    /// differential tests; the word and wide paths must match it bit-for-bit
-    /// in result, tally, and unit state.
+    /// differential tests; the plane datapath must match it bit-for-bit in
+    /// result, tally, and unit state.
     ///
     /// # Panics
     ///
@@ -543,17 +528,17 @@ mod tests {
     }
 
     #[test]
-    fn wide_dot_matches_word_dot_state_and_tally() {
+    fn dot_matches_scalar_dot_across_the_group_boundary() {
         // Cross the 512-lane group boundary with a ragged tail.
         let a: Vec<u64> = (0..600).map(|i| i * 37 % 256).collect();
         let b: Vec<u64> = (0..600).map(|i| i * 91 + 13).collect();
         let mut pg = RmProcessor::new(8, 2);
-        let mut pw = RmProcessor::new(8, 2);
+        let mut ps = RmProcessor::new(8, 2);
         let (rg, tg) = pg.dot(&a, &b);
-        let (rw, tw) = pw.dot_words(&a, &b);
-        assert_eq!(rg, rw);
-        assert_eq!(tg, tw);
-        assert_eq!(pg, pw, "all duplicator/circle/diode state must match");
+        let (rs, ts) = ps.dot_scalar(&a, &b);
+        assert_eq!(rg, rs);
+        assert_eq!(tg, ts);
+        assert_eq!(pg, ps, "all duplicator/circle/diode state must match");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! arithmetic, and the cost model behaves sanely.
 
 use proptest::prelude::*;
-use rm_proc::{PipelineModel, ProcOp, RmProcessor};
+use rm_proc::{PipelineModel, ProcOp, ProcScratch, RmProcessor};
 
 proptest! {
     /// Dot products match the host for arbitrary 8-bit vectors.
@@ -76,30 +76,30 @@ proptest! {
         }
     }
 
-    /// Differential: the wide word-group dot equals both retained reference
-    /// datapaths — single-word and serial — in result, gate tally, and full
-    /// processor state (duplicator phases, diode counters, circle
-    /// accumulator) for arbitrary vectors. The vector length range crosses
-    /// the 512-lane group boundary so ragged tails are exercised.
+    /// Differential: the plane datapath dot equals the serial reference
+    /// datapath in result, gate tally, and full processor state (duplicator
+    /// phases, diode counters, circle accumulator) for arbitrary vectors,
+    /// through one reused scratch. The vector length range crosses the
+    /// 512-lane group boundary so ragged tails are exercised.
     #[test]
-    fn word_dot_matches_scalar_datapath(
+    fn plane_dot_matches_scalar_datapath(
         pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..560),
         d in 1u32..4,
     ) {
         let a: Vec<u64> = pairs.iter().map(|&(x, _)| x).collect();
         let b: Vec<u64> = pairs.iter().map(|&(_, y)| y).collect();
         let mut pwide = RmProcessor::new(8, d);
-        let mut pword = RmProcessor::new(8, d);
         let mut ps = RmProcessor::new(8, d);
+        let mut scratch = ProcScratch::new();
+        for half in [&pairs[pairs.len() / 2..], &pairs[..]] {
+            let (ha, hb): (Vec<u64>, Vec<u64>) = half.iter().copied().unzip();
+            prop_assert_eq!(pwide.dot_with(&ha, &hb, &mut scratch), ps.dot_scalar(&ha, &hb));
+        }
         let (rwide, twide) = pwide.dot(&a, &b);
-        let (rword, tword) = pword.dot_words(&a, &b);
         let (rs, ts) = ps.dot_scalar(&a, &b);
         prop_assert_eq!(rwide, rs);
-        prop_assert_eq!(rword, rs);
         prop_assert_eq!(&twide, &ts);
-        prop_assert_eq!(&tword, &ts);
         prop_assert_eq!(&pwide, &ps);
-        prop_assert_eq!(&pword, &ps);
     }
 
     /// Differential: word-parallel vadd and svmul equal their serial
