@@ -10,6 +10,17 @@
 //! The pool is deliberately `std`-only (no `crossbeam` deques): simulation
 //! jobs run for microseconds to seconds, so a mutex per deque is nowhere
 //! near the bottleneck, and the workspace builds without registry access.
+//!
+//! A one-item batch runs on the caller's thread: there is nothing to
+//! steal, and on a 2-vCPU VM starting a scoped thread costs about 40 µs,
+//! ten times a cache-hit 16×16×16 MatMul job. Every request of a
+//! `pim-serve` dispatcher is such a batch. The rule is the item count,
+//! not a one-worker pool: batches of two or more keep their scoped
+//! workers even at `workers == 1`. Run inline, their allocator churn
+//! (polybench host jobs build zero matrices) lands in the caller's main
+//! heap, and a caller that keeps long-lived results there slows down:
+//! perfbench `sweep` fell from 48.7/48.4/46.9 to 37.6/39.1/37.7 ops/s in
+//! three pairs.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,12 +40,22 @@ pub struct ExecutorStats {
 /// came from a victim's deque rather than the worker's own. Returns
 /// per-worker counters.
 ///
+/// A one-item batch calls `f(0, 0, false)` on the calling thread and
+/// returns the stats a one-worker pool would (see the module docs).
+///
 /// `f` must tolerate concurrent invocation from different threads (it is
 /// `Sync`); each index is executed exactly once.
 pub fn run_indexed<F>(workers: usize, n_items: usize, f: F) -> ExecutorStats
 where
     F: Fn(usize, usize, bool) + Sync,
 {
+    if n_items == 1 {
+        f(0, 0, false);
+        return ExecutorStats {
+            per_worker: vec![1],
+            steals: 0,
+        };
+    }
     let workers = workers.max(1).min(n_items.max(1));
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((w..n_items).step_by(workers).collect()))
@@ -139,6 +160,24 @@ mod tests {
 
         let stats = run_indexed(8, 0, |_w, _i, _stolen| panic!("no items"));
         assert_eq!(stats.per_worker.iter().sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn one_item_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(None);
+        let stats = run_indexed(4, 1, |w, i, stolen| {
+            assert_eq!((w, i, stolen), (0, 0, false));
+            *ran_on.lock().unwrap() = Some(std::thread::current().id());
+        });
+        assert_eq!(ran_on.into_inner().unwrap(), Some(caller));
+        assert_eq!(
+            stats,
+            ExecutorStats {
+                per_worker: vec![1],
+                steals: 0
+            }
+        );
     }
 
     #[test]

@@ -126,24 +126,16 @@ impl Job {
     }
 
     /// Stable identity of the platform instance this job needs: jobs with
-    /// equal keys can share one [`Platform`] from the runtime's pool.
+    /// equal keys can share one [`Platform`] from the runtime's pool. A
+    /// structural digest of the platform kind and the effective
+    /// configuration, like the schedule cache's keys.
     pub(crate) fn platform_key(&self) -> u64 {
-        fnv(&format!(
-            "{:?}|{:?}",
-            self.platform,
-            self.effective_config()
-        ))
+        use std::hash::{Hash, Hasher};
+        let mut h = rm_core::FnvHasher::with_tag("platform-key-v2");
+        self.platform.hash(&mut h);
+        self.effective_config().hash(&mut h);
+        h.finish()
     }
-}
-
-/// FNV-1a over a string — the runtime's content-address primitive.
-pub(crate) fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

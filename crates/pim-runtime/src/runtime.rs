@@ -8,6 +8,7 @@ use pim_baselines::{Platform, Workload};
 use pim_device::{ExecReport, Parallelism, PriceTable, StreamPim};
 use pim_trace::{Event, NullSink, Span, TraceSink, Track};
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -55,6 +56,16 @@ pub fn intra_worker_budget(
         Parallelism::Auto => (total_threads / batch_workers.max(1)).max(1),
         other => other.resolve(total_threads),
     }
+}
+
+/// The message a panic carried: its `&str` or `String` payload, or a
+/// placeholder for any other payload type.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Per-job observers threaded through [`Runtime::run_batch_instrumented`]:
@@ -287,8 +298,9 @@ impl Runtime {
     }
 
     /// Runs a batch of jobs on the work-stealing pool and returns outcomes
-    /// in submission order. Individual job failures are reported in their
-    /// outcome; they never abort the batch.
+    /// in submission order. Individual job failures, errors and panics
+    /// alike, are reported in their outcome; they never abort the batch.
+    /// A one-job batch runs on the calling thread (see [`executor`]).
     ///
     /// After [`Runtime::shutdown`], batches are refused: every outcome
     /// carries a "runtime is draining" error and nothing is recorded in
@@ -354,7 +366,18 @@ impl Runtime {
             let queue_depth = pending.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
             let started = Instant::now();
             let job = &jobs[index];
-            let (report, cache) = self.run_one(job, worker, instruments);
+            // A panicking job fails alone: it becomes this job's error
+            // outcome instead of unwinding into the caller (a `pim-serve`
+            // dispatcher runs one-job batches on its own thread).
+            let (report, cache) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
+                self.run_one(job, worker, instruments)
+            })) {
+                Ok((report, cache)) => (report.map_err(|e| e.to_string()), cache),
+                Err(payload) => (
+                    Err(format!("job panicked: {}", panic_message(payload.as_ref()))),
+                    CacheDisposition::default(),
+                ),
+            };
             let cache_hit = cache.hit;
             let cache_probed = cache.probed;
             let latency_ns = started.elapsed().as_nanos() as u64;
@@ -418,7 +441,7 @@ impl Runtime {
                 JobOutcome {
                     index,
                     name: job.name.clone(),
-                    report: report.map_err(|e| e.to_string()),
+                    report,
                 },
                 cache,
             ));
@@ -1246,6 +1269,107 @@ mod tests {
         assert_eq!(plain, clustered, "devices:1 batch:1 falls through");
         // The fall-through keeps the schedule cache engaged.
         assert_eq!(runtime.cache().hits(), 1);
+    }
+
+    /// Records the thread every span arrives on.
+    #[derive(Debug, Default)]
+    struct ThreadSink(Mutex<Vec<std::thread::ThreadId>>);
+
+    impl TraceSink for ThreadSink {
+        fn record_span(&self, _span: Span) {
+            self.0.lock().unwrap().push(std::thread::current().id());
+        }
+
+        fn record_instant(&self, _event: Event) {}
+    }
+
+    #[test]
+    fn a_one_job_batch_runs_on_the_calling_thread() {
+        let runtime = Runtime::new(RuntimeConfig {
+            workers: 2,
+            cache_enabled: true,
+            ..RuntimeConfig::default()
+        });
+        let sink = ThreadSink::default();
+        let instruments = JobInstruments {
+            sink: &sink,
+            probe: &rm_core::NullProbe,
+        };
+        let job = Job::new(
+            WorkloadSpec::MatMul {
+                m: 16,
+                k: 16,
+                n: 16,
+            },
+            PlatformKind::StPim,
+        );
+        let (batch, _) = runtime.run_batch_instrumented(std::slice::from_ref(&job), &instruments);
+        assert_eq!(batch.completed(), 1);
+        let threads = sink.0.into_inner().unwrap();
+        // The lowering span, the simulated timeline and the job span.
+        assert!(threads.len() > 2, "{} spans", threads.len());
+        let caller = std::thread::current().id();
+        assert!(threads.iter().all(|&t| t == caller));
+        let snap = runtime.metrics();
+        assert_eq!((snap.jobs[0].worker, snap.steals), (0, 0));
+    }
+
+    /// Panics on every sample outside the host models' `host/` paths, so
+    /// StreamPIM jobs panic and CPU jobs complete.
+    #[derive(Debug)]
+    struct DevicePanicProbe;
+
+    impl rm_core::Probe for DevicePanicProbe {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&self, path: &str, _sample: rm_core::ProbeSample) {
+            assert!(path.starts_with("host/"), "probe refused {path}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone() {
+        let runtime = Runtime::new(RuntimeConfig {
+            workers: 2,
+            cache_enabled: true,
+            ..RuntimeConfig::default()
+        });
+        let instruments = JobInstruments {
+            sink: &NullSink,
+            probe: &DevicePanicProbe,
+        };
+        let spec = WorkloadSpec::MatMul { m: 32, k: 16, n: 8 };
+        // A StreamPIM job, which panics, and a CPU job, which does not.
+        let jobs = [
+            Job::new(spec, PlatformKind::StPim),
+            Job::new(spec, PlatformKind::CpuRm),
+        ];
+
+        // One job: an error outcome instead of an unwind into the caller.
+        let (alone, _) = runtime.run_batch_instrumented(&jobs[..1], &instruments);
+        let err = alone.outcomes[0].report.as_ref().unwrap_err();
+        assert!(
+            err.contains("job panicked") && err.contains("probe refused"),
+            "{err}"
+        );
+
+        // Two jobs on two workers: the other one completes.
+        let (pair, _) = runtime.run_batch_instrumented(&jobs, &instruments);
+        assert!(pair.outcomes[0].report.is_err());
+        let fresh = Runtime::new(RuntimeConfig {
+            workers: 2,
+            cache_enabled: true,
+            ..RuntimeConfig::default()
+        });
+        let expected = fresh.run_batch(&jobs);
+        assert_eq!(pair.outcomes[1], expected.outcomes[1]);
+        let snap = runtime.metrics();
+        assert_eq!((snap.jobs_completed, snap.jobs_failed), (1, 2));
+
+        // The runtime is still sound: the next batch prices as a fresh one.
+        assert_eq!(runtime.run_batch(&jobs), expected);
     }
 
     #[test]

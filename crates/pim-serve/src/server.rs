@@ -17,7 +17,9 @@
 //! ```
 //!
 //! The thread budget is explicit: HTTP workers only parse and route (no
-//! simulation), dispatchers each run one job at a time, and every job's
+//! simulation), dispatchers each price one job at a time on their own
+//! thread (the runtime runs a one-job batch on its caller's thread, and a
+//! job that panics comes back as a failed outcome), and every job's
 //! simulated device gets `intra_worker_budget(Auto, dispatchers, machine −
 //! HTTP workers)` threads — so service threads × dispatchers × intra-run
 //! threads never oversubscribe the host (see [`ServeConfig::plan`]).
@@ -155,8 +157,9 @@ impl ServeConfig {
     }
 
     /// The runtime configuration the plan implies. Each dispatcher submits
-    /// single-job batches, so the runtime's own batch pool stays at one
-    /// worker and all parallelism is explicit: dispatcher threads ×
+    /// single-job batches, which the runtime prices on the dispatcher's
+    /// own thread, so the runtime's own batch pool stays at one worker and
+    /// all parallelism is explicit: dispatcher threads ×
     /// `Threads(intra_per_job)` devices.
     pub fn runtime_config(&self) -> RuntimeConfig {
         let plan = self.plan();
@@ -366,8 +369,10 @@ impl Core {
     }
 
     /// One dispatcher thread: fair-pick a job, run it through the runtime,
-    /// settle the meter, publish the outcome. Exits once the service has
-    /// left `Accepting` and the queues are empty.
+    /// settle the meter, publish the outcome. A job that panics arrives as
+    /// a failed outcome, so it frees its tenant's slot like any failure.
+    /// Exits once the service has left `Accepting` and the queues are
+    /// empty.
     fn dispatch_loop(&self) {
         loop {
             let (tenant, job_id, job, queued_ns) = {

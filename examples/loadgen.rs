@@ -26,6 +26,11 @@
 //! trip the clients made. Closed-loop submit→terminal job latencies are
 //! evaluated against the default latency SLO and the summary prints an
 //! explicit pass/fail line.
+//!
+//! The report's `host` block records what its numbers depend on: hardware
+//! threads, architecture, SIMD level, and the machine's CPU steal ticks
+//! over the run (`null` where `/proc/stat` is unreadable), as
+//! `BENCH_device.json` does.
 
 use std::io::Write;
 use std::net::SocketAddr;
@@ -241,7 +246,16 @@ fn mode_json(name: &str, traffic: &Traffic, elapsed_s: f64) -> String {
     )
 }
 
+/// Machine-wide CPU steal ticks (the eighth counter of `/proc/stat`'s
+/// aggregate `cpu` line), or `None` where it is unreadable.
+fn steal_ticks() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let line = stat.lines().find(|l| l.starts_with("cpu "))?;
+    line.split_whitespace().nth(8)?.parse().ok()
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let steal_at_start = steal_ticks();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let duration_ms: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
     let clients: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
@@ -380,8 +394,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "loadgen: recorder on {throughput_on:.1} jobs/s, off {throughput_off:.1} jobs/s ({overhead_pct:+.2}% overhead)"
     );
 
+    let steal = match (steal_at_start, steal_ticks()) {
+        (Some(start), Some(end)) => end.saturating_sub(start).to_string(),
+        _ => "null".to_string(),
+    };
+    let host = format!(
+        "{{\"available_parallelism\": {}, \"arch\": \"{}\", \"simd\": \"{}\", \"steal_ticks\": {steal}}}",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        std::env::consts::ARCH,
+        streampim::rm_core::wide::simd_level(),
+    );
+    println!("loadgen: host {host}");
     let json = format!(
-        "{{\n  \"bench\": \"serve_loadgen\",\n  \"config\": {{\"duration_ms\": {duration_ms}, \"clients\": {clients}, \"dispatchers\": {}, \"intra_threads\": {}}},\n  \"modes\": [\n    {},\n    {}\n  ],\n  \"latency_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}},\n  \"slo\": {{\"latency_objective_ns\": {}, \"objective\": {}, \"jobs\": {}, \"attainment\": {attainment:.6}, \"error_budget_burn\": {burn:.4}, \"pass\": {pass}}},\n  \"flight\": {{\"observed\": {}, \"retained\": {}, \"summarized\": {}, \"evicted\": {}, \"overhead_ns\": {}, \"ab\": {{\"recorder_on_jobs_per_s\": {throughput_on:.1}, \"recorder_off_jobs_per_s\": {throughput_off:.1}, \"overhead_pct\": {overhead_pct:.2}}}}},\n  \"ledger\": {{\"tenants\": {}, \"billed_microcredits\": {}, \"jobs_settled\": {}, \"jobs_cancelled\": {}}}\n}}\n",
+        "{{\n  \"bench\": \"serve_loadgen\",\n  \"host\": {host},\n  \"config\": {{\"duration_ms\": {duration_ms}, \"clients\": {clients}, \"dispatchers\": {}, \"intra_threads\": {}}},\n  \"modes\": [\n    {},\n    {}\n  ],\n  \"latency_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}},\n  \"slo\": {{\"latency_objective_ns\": {}, \"objective\": {}, \"jobs\": {}, \"attainment\": {attainment:.6}, \"error_budget_burn\": {burn:.4}, \"pass\": {pass}}},\n  \"flight\": {{\"observed\": {}, \"retained\": {}, \"summarized\": {}, \"evicted\": {}, \"overhead_ns\": {}, \"ab\": {{\"recorder_on_jobs_per_s\": {throughput_on:.1}, \"recorder_off_jobs_per_s\": {throughput_off:.1}, \"overhead_pct\": {overhead_pct:.2}}}}},\n  \"ledger\": {{\"tenants\": {}, \"billed_microcredits\": {}, \"jobs_settled\": {}, \"jobs_cancelled\": {}}}\n}}\n",
         plan.dispatch_workers,
         plan.intra_per_job,
         mode_json("closed_loop", &closed, closed_s),
