@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt lint doc build test determinism bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments loc
+.PHONY: verify fmt lint doc build test determinism bench-build trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments loc
 
-verify: fmt lint doc build test determinism bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
+verify: fmt lint doc build test determinism bench-build trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
 	@echo "verify: all gates passed"
 
 fmt:
@@ -26,16 +26,23 @@ test:
 	$(CARGO) test -q --workspace
 
 # Intra-run parallelism determinism suite at several worker shapes: the
-# default counts (1,2,7,16), then deliberately awkward odd counts. Reports
-# must be byte-identical to serial in every shape.
+# default counts (1,2,7,16), then deliberately awkward odd counts, then
+# powers of two up to 32. Reports must be byte-identical to serial in
+# every shape.
 determinism:
 	$(CARGO) test -q --test parallel_determinism --test cluster_determinism
 	STREAMPIM_TEST_WORKERS=1,3,5,13 $(CARGO) test -q --test parallel_determinism --test cluster_determinism
+	STREAMPIM_TEST_WORKERS=2,4,8,32 $(CARGO) test -q --test parallel_determinism --test cluster_determinism
 
 # Benches and examples must stay compilable even when not run.
 bench-build:
 	$(CARGO) bench --workspace --no-run
 	$(CARGO) build --release --examples
+
+# Trace export self-validation: `--check` re-parses the written Perfetto
+# JSON and asserts resource coverage, exiting 1 on any violation.
+trace-check:
+	$(CARGO) run --release --example trace_dump -- gemm 0.02 trace.json --check
 
 # Device-kernel smoke bench, gated on speedup drift against the committed
 # baseline (regenerate the baseline in full mode:
@@ -92,8 +99,9 @@ perfbench-check:
 experiments:
 	$(CARGO) run --release -p pim-bench --bin experiments -- all
 
-# Non-test lines of Rust: every line of crates/*/src and src/ before its
-# file's first `#[cfg(test)]`. A size report for comparing two trees, not a
-# gate.
+# Non-test lines of Rust (every line of crates/*/src and src/ before its
+# file's first `#[cfg(test)]`) and, among them, public item definitions
+# (`pub fn|struct|enum|const|static|trait|type`). A size report for
+# comparing two trees, not a gate.
 loc:
-	@find crates/*/src src -name '*.rs' | sort | xargs awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n " non-test lines" }'
+	@find crates/*/src src -name '*.rs' | sort | xargs awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ } !t && /^[[:space:]]*pub (fn|struct|enum|const|static|trait|type)[[:space:]]/ { p++ } END { print n " non-test lines"; print p " public item definitions" }'

@@ -8,8 +8,8 @@
 //! round. A `parallel` group times the functional [`DeviceFlow`] gemv/gemm
 //! at several intra-run worker counts, recording the machine's
 //! `available_parallelism` alongside — thread speedups are meaningless
-//! without knowing how many cores the run actually had. The `wide` and
-//! `reprice` groups are recorded, not gated.
+//! without knowing how many cores the run actually had. The `wide` group
+//! is recorded, not gated.
 //!
 //! Usage: `bench_device [--smoke] [--out PATH] [--compare PATH [--tolerance PCT]]`.
 //! `--smoke` shrinks the sample counts so CI can validate the pipeline in
@@ -77,23 +77,6 @@ struct WideResult {
     ratio: f64,
 }
 
-/// Cold pricing vs near-miss re-pricing of one submission, medianed over a
-/// shape-swept workload: `cold_ns` lowers the shape task and prices every
-/// row from scratch (the pre-cache submission path); `repriced_ns` lowers
-/// the same shape task and replays already-priced rows through a warmed
-/// [`pim_device::PriceTable`] (the runtime's near-miss path). Neither leg
-/// builds matrices; baselines recorded while `MatMul` specs still built
-/// zero matrices also count that allocation in `cold_ns`. `ratio` is
-/// `repriced_ns / cold_ns`; it is recorded, not gated (`--compare` checks
-/// only the kernel and parallel speedups).
-#[derive(Debug, Serialize, Deserialize)]
-struct RepriceResult {
-    shapes: usize,
-    cold_ns: f64,
-    repriced_ns: f64,
-    ratio: f64,
-}
-
 /// One intra-run parallelism measurement: the same `DeviceFlow` workload
 /// under `threads` workers vs serial, on a machine that reported
 /// `available_parallelism` hardware threads. The legs are sampled
@@ -120,7 +103,6 @@ struct Report {
     samples: usize,
     results: Vec<KernelResult>,
     wide: Vec<WideResult>,
-    reprice: RepriceResult,
     parallel: Vec<ParallelResult>,
 }
 
@@ -374,51 +356,6 @@ fn main() -> ExitCode {
         });
     }
 
-    // Reprice group: the runtime's near-miss submission path (lowering +
-    // memoized pricing) against the cold path (lowering + full pricing),
-    // medianed over a shape-swept MatMul workload whose price table was
-    // warmed by one sibling shape.
-    let reprice = {
-        use pim_device::{PriceTable, StreamPim, StreamPimConfig};
-        use pim_workloads::WorkloadSpec;
-        let device = StreamPim::new(StreamPimConfig::paper_default()).expect("device builds");
-        let shapes: Vec<WorkloadSpec> = (0..6)
-            .map(|i| WorkloadSpec::MatMul {
-                m: 32 + 8 * i,
-                k: 48 + 4 * i,
-                n: 16 + 2 * i,
-            })
-            .collect();
-        let (rep_iters, rep_samples) = if smoke { (2, 3) } else { (20, 7) };
-        // Warm the table with the first shape, then sweep the rest —
-        // exactly what the runtime does after one shape-class submission.
-        let mut table = PriceTable::new();
-        let warm = shapes[0].shape_task().lower(&device).expect("lowers");
-        device.execute_repriced(&warm, &mut table);
-        let (cold_ns, repriced_ns) = interleaved_medians(
-            rep_iters,
-            rep_samples,
-            || {
-                for spec in &shapes {
-                    let schedule = spec.shape_task().lower(&device).expect("lowers");
-                    black_box(device.execute(&schedule));
-                }
-            },
-            || {
-                for spec in &shapes {
-                    let schedule = spec.shape_task().lower(&device).expect("lowers");
-                    black_box(device.execute_repriced(&schedule, &mut table));
-                }
-            },
-        );
-        RepriceResult {
-            shapes: shapes.len(),
-            cold_ns,
-            repriced_ns,
-            ratio: repriced_ns / cold_ns,
-        }
-    };
-
     // Parallel group: functional DeviceFlow gemv/gemm sharded across
     // intra-run worker threads. Gated by --compare only when the baseline
     // ran with the same hardware thread count: the speedup is a property
@@ -492,7 +429,6 @@ fn main() -> ExitCode {
         samples,
         results,
         wide,
-        reprice,
         parallel,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -515,10 +451,6 @@ fn main() -> ExitCode {
             w.name, w.word_ns, w.wide_ns, w.ratio
         );
     }
-    println!(
-        "near-miss re-pricing over {} swept shapes: cold {:>10.1} ns   repriced {:>10.1} ns   {:.2}x",
-        report.reprice.shapes, report.reprice.cold_ns, report.reprice.repriced_ns, report.reprice.ratio
-    );
     println!("intra-run parallel flow (machine has {available} hardware threads; legs interleaved, spread = (max - min) / median):");
     for p in &report.parallel {
         println!(

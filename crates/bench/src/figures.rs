@@ -6,7 +6,7 @@ use pim_baselines::platform::{dnn_end_to_end, Platform, PlatformKind, Workload};
 use pim_device::area::AreaModel;
 use pim_device::engine::EngineParams;
 use pim_device::report::ExecReport;
-use pim_device::{OptLevel, PimError, StreamPim, StreamPimConfig};
+use pim_device::{OptLevel, PimError, StreamPimConfig};
 use pim_workloads::dnn::DnnModel;
 use pim_workloads::polybench::{Kernel, KernelInstance};
 use pim_workloads::trace::{table_iv, TraceRow};
@@ -568,16 +568,9 @@ pub fn table5_with(
 /// * `n1_identical` — `1.0` only when the *serialized* reports are
 ///   byte-equal (strictly stronger than the two ratios).
 ///
-/// # Errors
-///
-/// Propagates platform/cluster configuration and pricing errors.
-pub fn cluster_equivalence() -> Result<Vec<(&'static str, f64)>, PimError> {
-    cluster_equivalence_with(None)
-}
-
-/// [`cluster_equivalence`] with an optional StreamPIM engine-parameter
-/// override (applied to both sides, so the frozen `1.0` values must hold
-/// under perturbation too).
+/// `engine` optionally overrides the StreamPIM engine parameters (applied
+/// to both sides, so the frozen `1.0` values must hold under perturbation
+/// too).
 ///
 /// # Errors
 ///
@@ -620,13 +613,4 @@ pub fn fabrication() -> Vec<(u32, f64)> {
         .iter()
         .map(|&nm| (nm, ProcessNode::nm(nm).gate_energy_pj()))
         .collect()
-}
-
-/// Validates a StreamPIM config exists for doc-tests and sanity checks.
-///
-/// # Errors
-///
-/// Never fails for the paper default.
-pub fn default_device() -> Result<StreamPim, PimError> {
-    StreamPim::new(StreamPimConfig::paper_default())
 }

@@ -173,16 +173,6 @@ impl CircleAdder {
         self.iterations = 0;
         self.overflows = 0;
     }
-
-    /// Cycle cost of accumulating `n` values: the circle pipeline retires
-    /// one accumulation per `width`-bit ripple traversal once full.
-    pub fn accumulate_cycles(&self, n: usize) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            ACCUMULATE_STEPS + n as u64 - 1
-        }
-    }
 }
 
 #[cfg(test)]
@@ -240,14 +230,6 @@ mod tests {
         acc.accumulate(1, &mut t);
         assert_eq!(t.nand, 8 * 9);
         assert_eq!(t.diode, 8);
-    }
-
-    #[test]
-    fn cycle_model_is_pipelined() {
-        let acc = CircleAdder::new(32);
-        assert_eq!(acc.accumulate_cycles(0), 0);
-        assert_eq!(acc.accumulate_cycles(1), 4);
-        assert_eq!(acc.accumulate_cycles(10), 13);
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //! * [`duplicator`] — fan-out + diode data duplication (paper Figure 9);
 //! * [`circle_adder`] — the accumulating circle adder (paper Figure 10);
 //! * [`multiplier`] — the w-bit scalar multiplier (partial products + tree);
-//! * [`extension`] — the §VI extension units: divider and square-root
-//!   extractor built from the same primitives;
 //! * [`process`] — fabrication-node energy scaling (paper §V-F);
 //! * [`cost`] — gate tallies and cycle/energy pricing.
 //!
@@ -42,7 +40,6 @@ pub mod circle_adder;
 pub mod cost;
 pub mod diode;
 pub mod duplicator;
-pub mod extension;
 pub mod gate;
 pub mod multiplier;
 pub mod process;
@@ -53,7 +50,6 @@ pub use circle_adder::CircleAdder;
 pub use cost::GateTally;
 pub use diode::DomainWallDiode;
 pub use duplicator::{Duplicator, DuplicatorBank};
-pub use extension::{Divider, SqrtExtractor};
 pub use gate::{and, nand, nor, not, or, xor, Bias, DwGate};
 pub use multiplier::Multiplier;
 pub use process::ProcessNode;

@@ -26,10 +26,6 @@ pub struct ProcessNode {
 const E_1UM_PJ: f64 = 20.0;
 /// Per-gate energy anchor at the 32 nm node, pJ.
 const E_32NM_PJ: f64 = 0.0008;
-/// Word-level ADD energy at 32 nm (Table III), pJ.
-const ADD_32NM_PJ: f64 = 0.03;
-/// Word-level MUL energy at 32 nm (Table III), pJ.
-const MUL_32NM_PJ: f64 = 0.18;
 
 impl ProcessNode {
     /// Creates a node with the given feature size in nanometres.
@@ -74,18 +70,6 @@ impl ProcessNode {
     pub fn gate_energy_pj(&self) -> f64 {
         E_32NM_PJ * (self.feature_nm / 32.0).powf(Self::exponent())
     }
-
-    /// Energy of one word-level domain-wall ADD at this node, picojoules.
-    ///
-    /// Scales the Table III 32 nm value by the same power law.
-    pub fn add_energy_pj(&self) -> f64 {
-        ADD_32NM_PJ * (self.feature_nm / 32.0).powf(Self::exponent())
-    }
-
-    /// Energy of one word-level domain-wall MUL at this node, picojoules.
-    pub fn mul_energy_pj(&self) -> f64 {
-        MUL_32NM_PJ * (self.feature_nm / 32.0).powf(Self::exponent())
-    }
 }
 
 impl Default for ProcessNode {
@@ -114,13 +98,6 @@ mod tests {
         for pair in energies.windows(2) {
             assert!(pair[0] > pair[1], "energy must drop: {energies:?}");
         }
-    }
-
-    #[test]
-    fn table_iii_word_ops_at_32nm() {
-        let node = ProcessNode::paper_default();
-        assert!((node.add_energy_pj() - 0.03).abs() < 1e-12);
-        assert!((node.mul_energy_pj() - 0.18).abs() < 1e-12);
     }
 
     #[test]

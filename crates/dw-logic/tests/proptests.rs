@@ -1,7 +1,6 @@
 //! Property-based tests: the domain-wall arithmetic structures agree with
 //! host integer arithmetic for all inputs.
 
-use dw_logic::extension::{Divider, SqrtExtractor};
 use dw_logic::{
     AdderTree, CircleAdder, Duplicator, DuplicatorBank, GateTally, Multiplier, RippleCarryAdder,
 };
@@ -117,27 +116,6 @@ proptest! {
         prop_assert_eq!(acc.peek(), expect);
     }
 
-    /// The structural divider equals host division for all 10-bit operands.
-    #[test]
-    fn divider_matches_host(a in 0u64..1024, b in 1u64..1024) {
-        let div = Divider::new(10);
-        let mut t = GateTally::new();
-        let (q, r) = div.divide(a, b, &mut t).unwrap();
-        prop_assert_eq!(q, a / b);
-        prop_assert_eq!(r, a % b);
-        prop_assert_eq!(q * b + r, a, "division identity");
-    }
-
-    /// The structural square root equals the host floor-sqrt.
-    #[test]
-    fn sqrt_matches_host(x in 0u64..(1 << 20)) {
-        let sqrt = SqrtExtractor::new(20);
-        let mut t = GateTally::new();
-        let root = sqrt.isqrt(x, &mut t);
-        prop_assert!(root * root <= x);
-        prop_assert!((root + 1) * (root + 1) > x);
-    }
-
     /// Differential: the plane datapath of `multiply_many` equals per-pair
     /// `multiply` in results and gate tally for arbitrary operand streams
     /// and widths. The length range crosses both the 64-lane word and the
@@ -205,17 +183,5 @@ proptest! {
         prop_assert_eq!(bulk, serial);
         prop_assert_eq!(tb, ts);
         prop_assert_eq!(cycles_bulk, cycles_serial);
-    }
-
-    /// Multiply-then-divide round-trips through the structural units.
-    #[test]
-    fn mul_div_round_trip(a in 1u64..256, b in 1u64..256) {
-        let m = Multiplier::new(8);
-        let div = Divider::new(16);
-        let mut t = GateTally::new();
-        let product = m.multiply(a, b, &mut t);
-        let (q, r) = div.divide(product, b, &mut t).unwrap();
-        prop_assert_eq!(q, a);
-        prop_assert_eq!(r, 0);
     }
 }

@@ -233,11 +233,6 @@ impl CoruscantModel {
             ..ExecReport::default()
         }
     }
-
-    /// Single row-wide multiply time, ns (for the Figure 4 breakdown).
-    pub fn mul_time_ns(&self) -> f64 {
-        self.op_time_ns(&self.mul_cost())
-    }
 }
 
 impl Default for CoruscantModel {

@@ -6,8 +6,6 @@
 //! device the paper evaluates:
 //!
 //! * [`vpc`] — the Vector Processing Command ISA (Table II) and traces;
-//! * [`decode`] — VPC → bank command → micro-operation decomposition
-//!   (paper Figure 14);
 //! * [`placement`] — matrix placement across PIM subarrays: the naive
 //!   `base` layout versus the `distribute` optimization (paper Figure 15),
 //!   including slicing of oversized vectors;
@@ -15,24 +13,23 @@
 //!   reordering that decouples read/write traffic from computation;
 //! * [`engine`] — the analytic execution engine that prices a schedule in
 //!   nanoseconds and picojoules, modelling subarray-level parallelism, the
-//!   shift-vs-read/write blocking rule, and transfer/compute overlap;
+//!   shift-vs-read/write blocking rule, and transfer/compute overlap. VPC
+//!   decode (Figure 14) and the §IV-B command queue are priced here as one
+//!   controller slot per VPC (`EngineParams::controller_ns_per_vpc`);
 //! * [`task`] — the `PimTask` programming interface (paper Figure 16): a
 //!   `ShapeTask` operation graph, which lowers, plus the matrices for
 //!   functionally-correct execution of the matrix operations;
 //! * [`device`] — [`device::StreamPim`]: configuration + entry points;
 //! * [`report`] — execution reports (time/energy breakdowns);
 //! * [`area`] — the §V-G area-overhead model;
-//! * [`controller`] — the VPC queue with asynchronous send-response
-//!   (paper §IV-B);
 //! * [`flow`] — the bit-level subarray data flow of Figure 13, proving the
 //!   conversion-free property functionally;
 //! * [`engine_event`] — the explicit-timeline reference engine the
-//!   analytic engine is cross-validated against;
+//!   analytic engine is cross-validated against; it draws each command's
+//!   decode slot on a decoder track;
 //! * [`expr`] — the §IV-D expression compiler with scale-add fusion.
 
 pub mod area;
-pub mod controller;
-pub mod decode;
 pub mod device;
 pub mod engine;
 pub mod engine_event;

@@ -42,24 +42,6 @@ impl ExecReport {
         self.energy.total_pj()
     }
 
-    /// Speedup of this report relative to `baseline` (>1 means faster).
-    ///
-    /// Degenerate totals never produce NaN or infinity: if both totals are
-    /// zero the platforms are indistinguishable and the ratio is `1.0`; if
-    /// only this report is zero it is "infinitely" faster and the ratio
-    /// saturates at [`f64::MAX`]; if only the baseline is zero the ratio
-    /// is `0.0`.
-    pub fn speedup_vs(&self, baseline: &ExecReport) -> f64 {
-        safe_ratio(baseline.total_ns(), self.total_ns())
-    }
-
-    /// Energy-efficiency gain relative to `baseline` (>1 means less energy).
-    ///
-    /// Zero totals follow the same convention as [`ExecReport::speedup_vs`].
-    pub fn energy_gain_vs(&self, baseline: &ExecReport) -> f64 {
-        safe_ratio(baseline.total_pj(), self.total_pj())
-    }
-
     /// Merges another report into this one (summing all fields), for
     /// composing phase reports into an end-to-end number.
     pub fn absorb(&mut self, other: &ExecReport) {
@@ -68,18 +50,6 @@ impl ExecReport {
         self.counters += other.counters;
         self.vpc.pim += other.vpc.pim;
         self.vpc.moves += other.vpc.moves;
-    }
-}
-
-/// `numerator / denominator` with the zero conventions documented on
-/// [`ExecReport::speedup_vs`].
-fn safe_ratio(numerator: f64, denominator: f64) -> f64 {
-    if denominator > 0.0 {
-        numerator / denominator
-    } else if numerator > 0.0 {
-        f64::MAX
-    } else {
-        1.0
     }
 }
 
@@ -136,38 +106,6 @@ mod tests {
                 ..Default::default()
             },
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn speedup_and_energy_gain() {
-        let fast = report(10.0, 5.0);
-        let slow = report(100.0, 50.0);
-        assert!((fast.speedup_vs(&slow) - 10.0).abs() < 1e-12);
-        assert!((fast.energy_gain_vs(&slow) - 10.0).abs() < 1e-12);
-        assert!((slow.speedup_vs(&fast) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_baselines_never_yield_nan_or_inf() {
-        let zero = ExecReport::default();
-        let some = report(100.0, 50.0);
-        // Both zero: indistinguishable.
-        assert_eq!(zero.speedup_vs(&zero), 1.0);
-        assert_eq!(zero.energy_gain_vs(&zero), 1.0);
-        // Self zero, baseline positive: saturates instead of +inf.
-        assert_eq!(zero.speedup_vs(&some), f64::MAX);
-        assert_eq!(zero.energy_gain_vs(&some), f64::MAX);
-        // Baseline zero, self positive: no gain.
-        assert_eq!(some.speedup_vs(&zero), 0.0);
-        assert_eq!(some.energy_gain_vs(&zero), 0.0);
-        for v in [
-            zero.speedup_vs(&zero),
-            zero.speedup_vs(&some),
-            some.speedup_vs(&zero),
-            zero.energy_gain_vs(&some),
-        ] {
-            assert!(v.is_finite(), "ratio must be finite, got {v}");
         }
     }
 

@@ -108,7 +108,6 @@ pub struct EventLog {
     origin: Instant,
     inner: Mutex<Inner>,
     suppressed: AtomicU64,
-    min_level: Level,
 }
 
 impl Default for EventLog {
@@ -130,15 +129,6 @@ impl EventLog {
                 windows: HashMap::new(),
             }),
             suppressed: AtomicU64::new(0),
-            min_level: Level::Info,
-        }
-    }
-
-    /// A new log that also retains `Debug` events.
-    pub fn with_min_level(config: EventLogConfig, min_level: Level) -> Self {
-        EventLog {
-            min_level,
-            ..EventLog::new(config)
         }
     }
 
@@ -164,7 +154,7 @@ impl EventLog {
         message: &str,
         fields: &[(&str, &str)],
     ) -> Option<u64> {
-        if level < self.min_level {
+        if level < Level::Info {
             self.suppressed.fetch_add(1, Ordering::Relaxed);
             return None;
         }

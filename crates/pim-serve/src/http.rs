@@ -3,13 +3,14 @@
 //!
 //! Scope is deliberately small — exactly what the job API needs:
 //! `Content-Length` bodies (no chunked encoding), `Connection: close` on
-//! every response (one request per connection), and hard limits on header
-//! and body sizes so a misbehaving client cannot pin a service thread.
+//! every response (one request per connection), hard limits on header
+//! and body sizes, and one deadline for the whole request, so a
+//! misbehaving client cannot pin a service thread.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on a request body (1 MiB — job specs are tiny).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
@@ -45,21 +46,25 @@ impl Request {
 /// Why a request could not be parsed (each maps to a response status).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
-    /// Connection closed or timed out before a full request arrived.
+    /// Connection closed before a full request arrived.
     Incomplete,
+    /// The request deadline passed before a full request arrived (408).
+    TimedOut,
     /// The request line or headers are malformed (400).
     Malformed(String),
     /// The declared body exceeds [`MAX_BODY_BYTES`] (413).
     BodyTooLarge(usize),
 }
 
-/// Reads and parses one request from `stream`. `timeout` bounds every read
-/// so a stalled client cannot pin the service thread.
+/// Reads and parses one request from `stream`. `timeout` is the deadline
+/// for the whole request — request line, headers and body — so a client
+/// that trickles bytes cannot pin the service thread any longer than one
+/// that sends nothing.
 pub fn read_request(stream: &TcpStream, timeout: Duration) -> Result<Request, ParseError> {
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| ParseError::Malformed(format!("set timeout: {e}")))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        deadline: Instant::now() + timeout,
+    });
 
     let mut line = String::new();
     read_line_bounded(&mut reader, &mut line)?;
@@ -106,9 +111,7 @@ pub fn read_request(stream: &TcpStream, timeout: Duration) -> Result<Request, Pa
         return Err(ParseError::BodyTooLarge(content_length));
     }
     let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|_| ParseError::Incomplete)?;
+    reader.read_exact(&mut body).map_err(read_error)?;
 
     Ok(Request {
         method,
@@ -118,9 +121,38 @@ pub fn read_request(stream: &TcpStream, timeout: Duration) -> Result<Request, Pa
     })
 }
 
+/// The socket under a request's `BufReader`: each refill first sets the
+/// socket's read timeout to the time left before the deadline, so the
+/// deadline bounds the whole request rather than each read.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// A failed socket read: the deadline passing (the socket reports its
+/// read timeout as `WouldBlock` on Unix, `TimedOut` elsewhere) or the
+/// client going away.
+fn read_error(e: io::Error) -> ParseError {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ParseError::TimedOut,
+        _ => ParseError::Incomplete,
+    }
+}
+
 /// Reads one CRLF- (or LF-) terminated line, rejecting unbounded lines.
 fn read_line_bounded(
-    reader: &mut BufReader<&TcpStream>,
+    reader: &mut BufReader<DeadlineReader<'_>>,
     line: &mut String,
 ) -> Result<(), ParseError> {
     let mut raw = Vec::new();
@@ -137,7 +169,7 @@ fn read_line_bounded(
                     return Err(ParseError::Malformed("line too long".into()));
                 }
             }
-            Err(_) => return Err(ParseError::Incomplete),
+            Err(e) => return Err(read_error(e)),
         }
     }
     if raw.last() == Some(&b'\r') {
@@ -218,6 +250,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             409 => "Conflict",
             410 => "Gone",
             413 => "Payload Too Large",
@@ -358,6 +391,36 @@ mod tests {
             parse_raw("POST / HTTP/1.1\r\nContent-Length: 50\r\n\r\n"),
             Err(ParseError::Incomplete)
         );
+    }
+
+    #[test]
+    fn a_trickled_request_misses_the_whole_request_deadline() {
+        // One byte every 50 ms never idles a read for the 200 ms deadline,
+        // but the whole request would take over 3 s to arrive.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let body = "{\"tenant\": \"trickle\"}";
+        let raw = format!(
+            "POST /v1/jobs HTTP/1.1\r\nHost: h\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let writer = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for byte in raw.bytes() {
+                if stream.write_all(&[byte]).is_err() {
+                    return; // the reader hung up
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let start = Instant::now();
+        let parsed = read_request(&stream, Duration::from_millis(200));
+        let elapsed = start.elapsed();
+        drop(stream);
+        writer.join().unwrap();
+        assert_eq!(parsed, Err(ParseError::TimedOut));
+        assert!(elapsed < Duration::from_secs(1), "read took {elapsed:?}");
     }
 
     #[test]

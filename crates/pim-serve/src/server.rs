@@ -92,7 +92,9 @@ pub struct ServeConfig {
     /// Bounded connection-queue depth between acceptor and HTTP workers;
     /// beyond it, connections are shed at the door with a 429.
     pub connection_backlog: usize,
-    /// Per-read timeout on client sockets, milliseconds.
+    /// Deadline for reading one whole request (request line, headers and
+    /// body) from a client socket, milliseconds. A request that misses it
+    /// is answered 408 and its connection closed.
     pub read_timeout_ms: u64,
     /// Admission caps.
     pub admission: AdmissionConfig,
@@ -1249,6 +1251,13 @@ impl Core {
             Err(ParseError::BodyTooLarge(size)) => {
                 Response::error(413, &format!("body of {size} bytes exceeds limit"))
             }
+            Err(ParseError::TimedOut) => Response::error(
+                408,
+                &format!(
+                    "request not received within {} ms",
+                    self.config.read_timeout_ms
+                ),
+            ),
         };
         let _ = response
             .header("x-request-id", &request_id)
@@ -1673,6 +1682,37 @@ mod tests {
         // Queries still work after drain.
         let (status, _, _) = call(&addr, "GET", "/v1/healthz", None).unwrap();
         assert_eq!(status, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_trickled_request_is_answered_408() {
+        use std::io::{Read, Write};
+        let config = ServeConfig {
+            read_timeout_ms: 200,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(config).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // One byte every 50 ms: the request would take ~2 s to arrive.
+        let mut trickle = stream.try_clone().unwrap();
+        let writer = std::thread::spawn(move || {
+            for byte in b"GET /v1/healthz HTTP/1.1\r\nHost: h\r\n\r\n" {
+                if trickle.write_all(&[*byte]).is_err() {
+                    return; // the server hung up
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        let raw = String::from_utf8_lossy(&raw);
+        assert!(raw.starts_with("HTTP/1.1 408 Request Timeout"), "{raw}");
+        assert!(raw.contains("Connection: close"), "{raw}");
+        writer.join().unwrap();
         server.shutdown();
     }
 

@@ -21,7 +21,6 @@ pub mod dnn;
 pub mod matrix;
 pub mod polybench;
 pub mod profile;
-pub mod quant;
 pub mod spec;
 pub mod trace;
 
@@ -29,5 +28,4 @@ pub use dnn::DnnModel;
 pub use matrix::Matrix;
 pub use polybench::{Kernel, KernelInstance};
 pub use profile::KernelProfile;
-pub use quant::Quantizer;
 pub use spec::{DnnKind, WorkloadSpec};

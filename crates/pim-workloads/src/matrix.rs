@@ -21,15 +21,6 @@ pub fn random_matrix(rows: usize, cols: usize, lo: i64, hi: i64, seed: u64) -> M
     Matrix::from_fn(rows, cols, |_, _| rng.random_range(lo..=hi))
 }
 
-/// Generates a column vector of uniform values in `[lo, hi]`.
-///
-/// # Panics
-///
-/// Panics if `lo > hi` or `len` is zero.
-pub fn random_vector(len: usize, lo: i64, hi: i64, seed: u64) -> Matrix {
-    random_matrix(len, 1, lo, hi, seed)
-}
-
 /// The default small-value matrix used by kernel builders.
 pub fn workload_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     random_matrix(rows, cols, 0, 15, seed)
@@ -52,12 +43,6 @@ mod tests {
     fn values_in_range() {
         let m = random_matrix(20, 20, -5, 5, 7);
         assert!(m.as_slice().iter().all(|&v| (-5..=5).contains(&v)));
-    }
-
-    #[test]
-    fn vector_shape() {
-        let v = random_vector(8, 0, 1, 0);
-        assert_eq!(v.shape(), (8, 1));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use pim_device::{StreamPim, StreamPimConfig};
 use pim_workloads::polybench::Kernel;
-use pim_workloads::quant::Quantizer;
 use proptest::prelude::*;
 
 fn device() -> StreamPim {
@@ -44,38 +43,5 @@ proptest! {
         prop_assert!(p.flops > 0.0);
         prop_assert!(p.bytes >= p.working_set, "{kernel}");
         prop_assert_eq!(p.small, kernel.is_small());
-    }
-
-    /// Quantization error is bounded by one step for in-range values.
-    #[test]
-    fn quantizer_error_bounded(
-        values in proptest::collection::vec(-100.0f64..100.0, 1..64),
-        bits in 4u32..16,
-    ) {
-        let q = Quantizer::fit(&values, bits);
-        for &v in &values {
-            let err = (q.dequantize(q.quantize(v)) - v).abs();
-            prop_assert!(err <= q.step() * 0.5 + 1e-12, "err {err} step {}", q.step());
-        }
-    }
-
-    /// Quantized dot products stay within the analytic error bound.
-    #[test]
-    fn quantized_dot_within_bound(
-        pairs in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 1..64),
-    ) {
-        let a: Vec<f64> = pairs.iter().map(|&(x, _)| x).collect();
-        let b: Vec<f64> = pairs.iter().map(|&(_, y)| y).collect();
-        let qa = Quantizer::fit(&a, 8);
-        let qb = Quantizer::fit(&b, 8);
-        let int_dot: i64 = a
-            .iter()
-            .zip(&b)
-            .map(|(&x, &y)| qa.quantize(x) * qb.quantize(y))
-            .sum();
-        let approx = Quantizer::product_dequant(&qa, &qb, int_dot);
-        let real: f64 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
-        let bound = Quantizer::dot_error_bound(&qa, &qb, pairs.len(), 2.0, 2.0);
-        prop_assert!((real - approx).abs() <= bound, "err {} bound {bound}", (real - approx).abs());
     }
 }

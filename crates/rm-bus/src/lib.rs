@@ -16,18 +16,16 @@
 //! ahead of it, giving constant shift pulses, pipelined (multiplexed)
 //! transfer, and bounded per-shift fault exposure.
 //!
-//! * [`segmented`] — the functional, cycle-stepped segmented bus;
-//! * [`busset`] — the subarray's *set* of parallel buses (Figure 7);
+//! * [`segmented`] — the functional, cycle-stepped segmented bus (the
+//!   bit-level subarray flow drives one to and one from the processor);
 //! * [`electrical`] — the cost model of the conventional electrical bus
 //!   (the `StPIM-e` ablation);
 //! * [`model`] — closed-form cost models used by the execution engine.
 
-pub mod busset;
 pub mod electrical;
 pub mod model;
 pub mod segmented;
 
-pub use busset::BusSet;
 pub use electrical::ElectricalBusModel;
 pub use model::{BusCost, BusModel};
 pub use segmented::{Delivery, Packet, SegmentedBus, SegmentedBusModel};

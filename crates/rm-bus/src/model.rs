@@ -60,11 +60,6 @@ impl BusModel {
         BusModel::Electrical(ElectricalBusModel::paper_default())
     }
 
-    /// Whether transfers through this bus avoid electromagnetic conversion.
-    pub fn is_conversion_free(&self) -> bool {
-        matches!(self, BusModel::DomainWall(_))
-    }
-
     /// Cost of streaming `n_words` across the bus. `cycle_ns` is the
     /// memory-core cycle time (the domain-wall bus advances one segment per
     /// core cycle).
@@ -124,12 +119,6 @@ mod tests {
         assert_eq!(cost.shift_pj, 0.0);
         assert!(cost.read_pj > 0.0);
         assert!(cost.write_pj > cost.read_pj, "writes dominate");
-    }
-
-    #[test]
-    fn conversion_free_flag() {
-        assert!(BusModel::domain_wall_default().is_conversion_free());
-        assert!(!BusModel::electrical_default().is_conversion_free());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Functional and analytic models of the segmented domain-wall bus.
 
-use rm_core::probe::{Probe, ProbeSample};
-use rm_core::{OpCounters, PackedBits};
 use serde::{Deserialize, Serialize};
 
 /// A word in flight on the bus.
@@ -342,46 +340,6 @@ impl SegmentedBus {
             "bus stream failed to drain within the cycle guard"
         );
     }
-
-    /// Streams a packed row as its `u64` backing words (see
-    /// [`Self::stream_words`]): the row moves over the bus 64 lanes per
-    /// packet with no per-bit unpacking at either end.
-    pub fn stream_row(&mut self, src: usize, dst: usize, row: &PackedBits) -> Vec<Delivery> {
-        self.stream_words(src, dst, row.words())
-    }
-
-    /// [`Self::stream_words`] with attribution: the segment-shift delta of
-    /// the stream is recorded against `path` on `probe` (as `shifts` /
-    /// `shift_distance` counter ticks — the functional bus carries no energy
-    /// model of its own). Behaviour and statistics are otherwise identical
-    /// to the unprobed call.
-    ///
-    /// # Panics
-    ///
-    /// See [`Self::stream_words`].
-    pub fn stream_words_probed(
-        &mut self,
-        src: usize,
-        dst: usize,
-        words: &[u64],
-        probe: &dyn Probe,
-        path: &str,
-    ) -> Vec<Delivery> {
-        let before = self.segment_shifts;
-        let out = self.stream_words(src, dst, words);
-        if probe.enabled() {
-            let delta = self.segment_shifts - before;
-            probe.record(
-                path,
-                ProbeSample::ops(OpCounters {
-                    shifts: delta,
-                    shift_distance: delta,
-                    ..OpCounters::default()
-                }),
-            );
-        }
-        out
-    }
 }
 
 /// Closed-form cost model of the segmented bus, used by the execution
@@ -554,52 +512,6 @@ mod tests {
         // Pipelined: far fewer cycles than word-at-a-time.
         let model_bound = 10 + 2 * (words.len() as u64 - 1) + 2;
         assert!(bus.cycles() <= model_bound, "{} cycles", bus.cycles());
-    }
-
-    #[test]
-    fn stream_row_carries_packed_words() {
-        let mut bus = SegmentedBus::new(8);
-        let mut row = PackedBits::new(130);
-        row.set(0, true);
-        row.set(64, true);
-        row.set(129, true);
-        let deliveries = bus.stream_row(0, 5, &row);
-        let datas: Vec<u64> = deliveries.iter().map(|d| d.packet.data).collect();
-        assert_eq!(datas, row.words());
-        assert_eq!(datas.len(), 3);
-    }
-
-    #[test]
-    fn probed_stream_matches_shift_counter_delta() {
-        use std::sync::Mutex;
-
-        #[derive(Debug, Default)]
-        struct SumProbe(Mutex<u64>);
-        impl Probe for SumProbe {
-            fn enabled(&self) -> bool {
-                true
-            }
-            fn record(&self, path: &str, sample: ProbeSample) {
-                assert_eq!(path, "bus/internal");
-                *self.0.lock().unwrap() += sample.ops.shifts;
-            }
-        }
-
-        let mut bus = SegmentedBus::new(16);
-        let probe = SumProbe::default();
-        let words: Vec<u64> = (0..10).collect();
-        let plain_out = SegmentedBus::new(16).stream_words(0, 10, &words);
-        let out = bus.stream_words_probed(0, 10, &words, &probe, "bus/internal");
-        assert_eq!(
-            out.len(),
-            plain_out.len(),
-            "probing must not change behaviour"
-        );
-        assert_eq!(*probe.0.lock().unwrap(), bus.segment_shifts());
-        // A disabled probe records nothing and changes nothing.
-        let shifts = bus.segment_shifts();
-        bus.stream_words_probed(0, 10, &words, &rm_core::NullProbe, "bus/internal");
-        assert!(bus.segment_shifts() > shifts);
     }
 
     #[test]

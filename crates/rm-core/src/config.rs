@@ -132,17 +132,6 @@ impl Geometry {
     pub fn total_subarrays(&self) -> u32 {
         self.banks * self.subarrays_per_bank
     }
-
-    /// Domains a track reserves on each side so shifts never lose data.
-    ///
-    /// With `p` evenly spaced ports, a domain is at most
-    /// `domains_per_track / p` positions from its port, so that many spare
-    /// domains per side suffice (the paper notes the reserve never exceeds
-    /// the regular domain count).
-    #[inline]
-    pub fn overhead_domains_per_side(&self) -> u32 {
-        self.domains_per_track.div_ceil(self.ports_per_track)
-    }
 }
 
 impl Default for Geometry {
@@ -203,16 +192,6 @@ impl DeviceConfig {
             word_bits: 8,
             segment_domains: 1024,
             bus: BusKind::DomainWall,
-        }
-    }
-
-    /// A small configuration for tests/examples (tiny geometry, same
-    /// constants otherwise).
-    pub fn tiny() -> Self {
-        DeviceConfig {
-            geometry: Geometry::tiny(),
-            pim_banks: 1,
-            ..DeviceConfig::paper_default()
         }
     }
 
@@ -307,13 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn overhead_domains_do_not_exceed_regular() {
-        let g = Geometry::paper_default();
-        assert!(g.overhead_domains_per_side() * 2 <= g.domains_per_track * 2);
-        assert_eq!(g.overhead_domains_per_side(), 1024);
-    }
-
-    #[test]
     fn validate_rejects_zero_fields() {
         let mut g = Geometry::paper_default();
         g.banks = 0;
@@ -345,11 +317,6 @@ mod tests {
         let mut c = DeviceConfig::paper_default();
         c.segment_domains = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn tiny_geometry_validates() {
-        DeviceConfig::tiny().validate().unwrap();
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //!
 //! This crate provides:
 //!
-//! * a **functional model** — [`Nanowire`], [`Mat`], [`Subarray`], [`Bank`]
-//!   and [`RmDevice`] faithfully move bits around, including the reserved
-//!   overhead domains that prevent data loss during shifts, the save-track /
-//!   transfer-track split used for non-destructive reads, and the transverse
-//!   read used by the CORUSCANT baseline;
+//! * a **functional model** — [`Nanowire`], [`Mat`] and [`Subarray`]
+//!   faithfully move bits around, including the reserved overhead domains
+//!   that prevent data loss during shifts, the save-track / transfer-track
+//!   split used for non-destructive reads, and the transverse read used by
+//!   the CORUSCANT baseline. Banks and the device exist only as
+//!   [`Geometry`]: the bit-level flow in `pim-device` drives subarrays
+//!   directly, and its analytic engine prices the full Table III device
+//!   without instantiating its domains;
 //! * a **timing and energy model** — [`TimingParams`] / [`EnergyParams`]
 //!   carrying the constants from Table III of the paper, plus the
 //!   [`stats`] accounting types every simulated platform reports through;
@@ -33,15 +36,11 @@
 //! assert_eq!(wire.read_port(0).unwrap(), true);
 //! ```
 
-pub mod address;
-pub mod bank;
 pub mod bits;
 pub mod config;
-pub mod device;
 pub mod energy;
 pub mod error;
 pub mod fault;
-pub mod guard;
 pub mod hash;
 pub mod magnet;
 pub mod mat;
@@ -55,15 +54,11 @@ pub mod timing;
 pub mod wear;
 pub mod wide;
 
-pub use address::{Addr, BankId, MatId, RowAddr, SubarrayId};
-pub use bank::Bank;
 pub use bits::PackedBits;
 pub use config::{DeviceConfig, Geometry};
-pub use device::RmDevice;
 pub use energy::{EnergyBreakdown, EnergyParams};
 pub use error::RmError;
 pub use fault::{FaultOutcome, ShiftFaultModel};
-pub use guard::GuardedShifter;
 pub use hash::{fnv_digest, FnvHasher};
 pub use magnet::Magnetization;
 pub use mat::Mat;

@@ -141,11 +141,6 @@ impl Mat {
         self.probe = Some(attachment);
     }
 
-    /// Detaches any attribution probe.
-    pub fn detach_probe(&mut self) {
-        self.probe = None;
-    }
-
     /// Emits an op-counter delta to the attached probe, constructing the
     /// delta only when a probe is attached and enabled.
     #[inline]
@@ -285,22 +280,6 @@ impl Mat {
         Ok(())
     }
 
-    /// Reads `row` as a packed bit plane (lane `t` = save track `t`); the
-    /// word-level sibling of [`Self::read_row`] with identical accounting.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::align_row`].
-    pub fn read_row_packed(&mut self, row: usize) -> Result<PackedBits> {
-        self.align_row(row)?;
-        self.counters.reads += 1;
-        self.probe_ops(|| OpCounters {
-            reads: 1,
-            ..OpCounters::default()
-        });
-        Ok(self.save.planes[row].clone())
-    }
-
     /// Writes `row` through the access ports.
     ///
     /// # Errors
@@ -321,30 +300,6 @@ impl Mat {
             ..OpCounters::default()
         });
         self.save.planes[row] = PackedBits::from_bytes_lsb(data, self.save.tracks);
-        Ok(())
-    }
-
-    /// Writes `row` from a packed bit plane; the word-level sibling of
-    /// [`Self::write_row`] with identical accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmError::LengthMismatch`] if `data` does not have exactly
-    /// one lane per save track, plus the errors of [`Self::align_row`].
-    pub fn write_row_packed(&mut self, row: usize, data: &PackedBits) -> Result<()> {
-        if data.len() != self.save.tracks {
-            return Err(RmError::LengthMismatch {
-                expected: self.save.tracks,
-                actual: data.len(),
-            });
-        }
-        self.align_row(row)?;
-        self.counters.writes += 1;
-        self.probe_ops(|| OpCounters {
-            writes: 1,
-            ..OpCounters::default()
-        });
-        self.save.planes[row] = data.clone();
         Ok(())
     }
 
@@ -693,23 +648,17 @@ mod tests {
         m.shift_out_save_row(3).unwrap();
         m.shift_in_row(7, &[0x01, 0x02]).unwrap();
         assert_eq!(*probe.total.lock().unwrap(), m.counters());
-        m.detach_probe();
-        m.read_row(7).unwrap();
-        assert_ne!(*probe.total.lock().unwrap(), m.counters());
     }
 
     #[test]
     fn packed_row_api_round_trips_with_byte_api() {
         let mut m = mat();
         let plane = PackedBits::from_bytes_lsb(&[0x3C, 0x81], 16);
-        m.write_row_packed(8, &plane).unwrap();
-        assert_eq!(m.read_row(8).unwrap(), vec![0x3C, 0x81]);
-        assert_eq!(m.read_row_packed(8).unwrap(), plane);
+        m.write_row(8, &[0x3C, 0x81]).unwrap();
         m.copy_row_to_transfer(8).unwrap();
         assert_eq!(m.shift_out_transfer_row_packed(8).unwrap(), plane);
         m.shift_in_row_packed(9, &plane).unwrap();
         assert_eq!(m.shift_out_save_row_packed(9).unwrap(), plane);
-        assert!(m.write_row_packed(0, &PackedBits::new(8)).is_err());
         assert!(m.shift_in_row_packed(0, &PackedBits::new(8)).is_err());
     }
 }

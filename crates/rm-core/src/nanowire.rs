@@ -220,41 +220,6 @@ impl Nanowire {
         Ok(outcome)
     }
 
-    /// Shifts the wire by `distance` domains, `times` times, in one bulk
-    /// operation.
-    ///
-    /// Equivalent to calling [`Self::shift`] in a loop — same final offset
-    /// and same counter totals (`shifts += times`,
-    /// `shift_distance += distance * times`) — but with O(1) bookkeeping:
-    /// one displacement computation and one range check instead of one per
-    /// step. Because every step moves the same direction, the extreme
-    /// offset is the final offset, so the single check is exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmError::ShiftOutOfRange`] if the *total* displacement
-    /// would push data past the reserved overhead domains; unlike the
-    /// per-step loop (which stops at the first failing step) the wire is
-    /// left completely unchanged.
-    pub fn shift_bulk(&mut self, dir: ShiftDir, distance: usize, times: u64) -> Result<()> {
-        let total = distance as u128 * times as u128;
-        let new_offset = self.offset as i128 + dir.sign() as i128 * total as i128;
-        if new_offset.unsigned_abs() > self.overhead as u128 {
-            let available = match dir {
-                ShiftDir::Right => (self.overhead as isize - self.offset).max(0) as usize,
-                ShiftDir::Left => (self.overhead as isize + self.offset).max(0) as usize,
-            };
-            return Err(RmError::ShiftOutOfRange {
-                requested: total as usize,
-                available,
-            });
-        }
-        self.offset = new_offset as isize;
-        self.counters.shifts += times;
-        self.counters.shift_distance += distance as u64 * times;
-        Ok(())
-    }
-
     /// Bulk variant of [`Self::shift_with_faults`]: `times` faulty shifts of
     /// `distance` domains each, amortizing the per-step bookkeeping.
     ///
@@ -485,23 +450,6 @@ impl Nanowire {
         Ok(self.data.get(index))
     }
 
-    /// Direct inspection of a span of logical domains as packed words (no
-    /// cost; the bulk counterpart of [`Self::peek`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmError::InvalidSpan`] for an empty span or one past the
-    /// data region.
-    pub fn peek_many(&self, start: usize, len: usize) -> Result<PackedBits> {
-        let end = start + len;
-        if len == 0 || end > self.data.len() {
-            return Err(RmError::InvalidSpan { start, end });
-        }
-        let mut out = PackedBits::new(len);
-        out.copy_range_from(0, &self.data, start, len);
-        Ok(out)
-    }
-
     /// Direct mutation of a logical domain (no cost; for initialization in
     /// tests, examples and workload setup).
     ///
@@ -519,32 +467,9 @@ impl Nanowire {
         Ok(())
     }
 
-    /// Direct mutation of a span of logical domains from packed words (no
-    /// cost; the bulk counterpart of [`Self::poke`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmError::InvalidSpan`] for an empty span or one past the
-    /// data region.
-    pub fn poke_many(&mut self, start: usize, bits: &PackedBits) -> Result<()> {
-        let end = start + bits.len();
-        if bits.is_empty() || end > self.data.len() {
-            return Err(RmError::InvalidSpan { start, end });
-        }
-        self.data.copy_range_from(start, bits, 0, bits.len());
-        Ok(())
-    }
-
     /// Copies all logical domains into a `Vec<bool>` (inspection only).
     pub fn to_bits(&self) -> Vec<bool> {
         self.data.to_bools()
-    }
-
-    /// The packed domain image (inspection only; lane `i` = logical domain
-    /// `i`).
-    #[inline]
-    pub fn as_packed(&self) -> &PackedBits {
-        &self.data
     }
 
     /// Overwrites all logical domains from a bit slice (initialization only).
@@ -560,23 +485,6 @@ impl Nanowire {
             });
         }
         self.data = PackedBits::from_bools(bits);
-        Ok(())
-    }
-
-    /// Overwrites all logical domains from a packed image (initialization
-    /// only; the bulk counterpart of [`Self::load_bits`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmError::LengthMismatch`] if `bits.len() != self.len()`.
-    pub fn load_packed(&mut self, bits: &PackedBits) -> Result<()> {
-        if bits.len() != self.data.len() {
-            return Err(RmError::LengthMismatch {
-                expected: self.data.len(),
-                actual: bits.len(),
-            });
-        }
-        self.data = bits.clone();
         Ok(())
     }
 
@@ -689,36 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_shift_matches_the_per_step_loop() {
-        let mut bulk = Nanowire::new(64, &[0, 16, 32, 48]);
-        let mut looped = bulk.clone();
-        bulk.shift_bulk(ShiftDir::Right, 2, 5).unwrap();
-        for _ in 0..5 {
-            looped.shift(ShiftDir::Right, 2).unwrap();
-        }
-        assert_eq!(bulk, looped);
-        assert_eq!(bulk.counters().shifts, 5);
-        assert_eq!(bulk.counters().shift_distance, 10);
-    }
-
-    #[test]
-    fn bulk_shift_out_of_range_is_all_or_nothing() {
-        let mut w = Nanowire::new(16, &[0]); // overhead = 16
-        let before = w.clone();
-        let err = w.shift_bulk(ShiftDir::Right, 3, 6).unwrap_err();
-        assert_eq!(
-            err,
-            RmError::ShiftOutOfRange {
-                requested: 18,
-                available: 16
-            }
-        );
-        assert_eq!(w, before);
-        w.shift_bulk(ShiftDir::Right, 4, 4).unwrap();
-        assert_eq!(w.offset(), 16);
-    }
-
-    #[test]
     fn bulk_faulty_shift_matches_the_per_step_loop() {
         let mut bulk = Nanowire::new(256, &[0, 64, 128, 192]);
         let mut looped = bulk.clone();
@@ -814,28 +692,6 @@ mod tests {
         w.load_bits(&bits).unwrap();
         assert_eq!(w.to_bits(), bits);
         assert!(w.load_bits(&[true]).is_err());
-    }
-
-    #[test]
-    fn packed_bulk_ops_match_scalar_ops() {
-        let mut w = Nanowire::new(100, &[0]);
-        let image: Vec<bool> = (0..100).map(|i| i % 3 == 1).collect();
-        w.load_packed(&PackedBits::from_bools(&image)).unwrap();
-        assert_eq!(w.to_bits(), image);
-        assert_eq!(w.as_packed().count_ones(), 33);
-
-        let span = w.peek_many(10, 70).unwrap();
-        assert_eq!(span.to_bools(), &image[10..80]);
-        assert!(w.peek_many(50, 51).is_err());
-        assert!(w.peek_many(0, 0).is_err());
-
-        let patch = PackedBits::splat(7, true);
-        w.poke_many(90, &patch).unwrap();
-        assert_eq!(w.peek_many(90, 7).unwrap(), patch);
-        assert!(w.poke_many(95, &patch).is_err());
-
-        // Bulk initialization ops cost nothing.
-        assert_eq!(w.counters(), OpCounters::default());
     }
 
     #[test]

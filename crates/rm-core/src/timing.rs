@@ -39,12 +39,6 @@ impl TimingParams {
             transverse_read_ns: 3.91,
         }
     }
-
-    /// Latency of shifting by `distance` domain positions.
-    #[inline]
-    pub fn shift_by_ns(&self, distance: u64) -> f64 {
-        self.shift_ns * distance as f64
-    }
 }
 
 impl Default for TimingParams {
@@ -65,50 +59,6 @@ impl std::hash::Hash for TimingParams {
     }
 }
 
-/// DRAM timing constants used by the CPU-DRAM baseline and ELP2IM.
-///
-/// DDR4-2400: 2400 MT/s on a 64-bit channel. Row timings are representative
-/// DDR4 values (tRCD/tCAS/tRP ≈ 14 ns, tRAS ≈ 32 ns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DramTiming {
-    /// Row activate latency (tRCD), ns.
-    pub t_rcd_ns: f64,
-    /// Column access latency (tCAS), ns.
-    pub t_cas_ns: f64,
-    /// Precharge latency (tRP), ns.
-    pub t_rp_ns: f64,
-    /// Row-active minimum (tRAS), ns.
-    pub t_ras_ns: f64,
-    /// Peak channel bandwidth, GiB/s.
-    pub bandwidth_gib_s: f64,
-}
-
-impl DramTiming {
-    /// DDR4-2400 defaults matching the paper's "2400 MHz IO bus speed".
-    pub fn ddr4_2400() -> Self {
-        DramTiming {
-            t_rcd_ns: 14.16,
-            t_cas_ns: 14.16,
-            t_rp_ns: 14.16,
-            t_ras_ns: 32.0,
-            // 2400 MT/s * 8 B = 19.2 GB/s ≈ 17.9 GiB/s per channel.
-            bandwidth_gib_s: 17.9,
-        }
-    }
-
-    /// A full row-cycle (activate + restore + precharge), ns.
-    #[inline]
-    pub fn row_cycle_ns(&self) -> f64 {
-        self.t_ras_ns + self.t_rp_ns
-    }
-}
-
-impl Default for DramTiming {
-    fn default() -> Self {
-        DramTiming::ddr4_2400()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,24 +72,10 @@ mod tests {
     }
 
     #[test]
-    fn shift_scales_linearly() {
-        let t = TimingParams::paper_default();
-        assert_eq!(t.shift_by_ns(0), 0.0);
-        assert!((t.shift_by_ns(10) - 21.3).abs() < 1e-9);
-    }
-
-    #[test]
     fn write_is_slowest_rm_op() {
         // The paper's core motivation: RM writes dominate; shift is cheapest.
         let t = TimingParams::paper_default();
         assert!(t.write_ns > t.read_ns);
         assert!(t.read_ns > t.shift_ns);
-    }
-
-    #[test]
-    fn dram_row_cycle() {
-        let d = DramTiming::ddr4_2400();
-        assert!((d.row_cycle_ns() - 46.16).abs() < 1e-9);
-        assert!(d.bandwidth_gib_s > 0.0);
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rm_core::reference::{ScalarMat, ScalarNanowire};
-use rm_core::{Addr, Geometry, Mat, Nanowire, PackedBits, ShiftDir, ShiftFaultModel, Subarray};
+use rm_core::{Mat, Nanowire, PackedBits, ShiftDir, ShiftFaultModel, Subarray};
 
 /// One random nanowire operation for the packed-vs-scalar differential run.
 #[derive(Debug, Clone)]
@@ -162,24 +162,6 @@ proptest! {
         let mut back = vec![0u8; data.len()];
         sub.read_bytes(offset, &mut back).unwrap();
         prop_assert_eq!(back, data);
-    }
-
-    /// Address decode/encode is a bijection over the device capacity.
-    #[test]
-    fn addr_decode_encode_bijection(addr in 0u64..(8u64 << 30)) {
-        let geom = Geometry::paper_default();
-        let decoded = Addr::decode(addr, &geom).unwrap();
-        prop_assert_eq!(decoded.encode(&geom), addr);
-    }
-
-    /// Distinct addresses decode to distinct locations.
-    #[test]
-    fn addr_decode_is_injective(a in 0u64..1_000_000, b in 0u64..1_000_000) {
-        prop_assume!(a != b);
-        let geom = Geometry::paper_default();
-        let da = Addr::decode(a, &geom).unwrap();
-        let db = Addr::decode(b, &geom).unwrap();
-        prop_assert_ne!(da, db);
     }
 
     /// Differential: the lane copy's aligned slice-`memcpy` fast path, the

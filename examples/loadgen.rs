@@ -27,6 +27,12 @@
 //! evaluated against the default latency SLO and the summary prints an
 //! explicit pass/fail line.
 //!
+//! **Recorder A/B**: the closed loop against two more servers, flight
+//! recorder on and off, started once and driven in alternating short
+//! rounds (which arm goes first swaps every round). The report's
+//! `flight.ab` block carries each arm's jobs/s over all rounds and the
+//! median and range of the per-round overhead.
+//!
 //! The report's `host` block records what its numbers depend on: hardware
 //! threads, architecture, SIMD level, and the machine's CPU steal ticks
 //! over the run (`null` where `/proc/stat` is unreadable), as
@@ -51,6 +57,9 @@ use streampim::pim_workloads::WorkloadSpec;
 /// flight recorder must retain those requests and the run can prove a
 /// record is fetchable end to end.
 const SLO_OBJECTIVE_NS: u64 = 1_000_000;
+
+/// Recorder A/B rounds (even, so each arm runs first equally often).
+const AB_ROUNDS: usize = 8;
 
 /// The tenant mix: weights 4/2/1, exercised by every mode.
 const TENANTS: [(&str, u64); 3] = [("gold", 4), ("silver", 2), ("bronze", 1)];
@@ -360,13 +369,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     server.check_conservation().expect("metering conservation");
     let drained = server.shutdown();
 
-    // Recorder A/B: the same closed-loop workload against two fresh
-    // servers, recorder on vs off, default (2 s) objective so nothing is
-    // retained — the marginal cost measured is the always-on tap +
-    // summarize path, the one every healthy request pays.
-    println!("loadgen: recorder A/B, {clients} clients, {duration_ms} ms per arm ...");
-    let ab_arm = |enabled: bool| -> Result<f64, Box<dyn std::error::Error>> {
-        let server = Server::start(ServeConfig {
+    // Recorder A/B: the same closed-loop workload against two servers,
+    // recorder on vs off, default (2 s) objective so nothing is retained
+    // — the marginal cost measured is the always-on tap + summarize path,
+    // the one every healthy request pays. Both servers start once and
+    // the arms alternate in short rounds, swapping which arm runs first
+    // each round, so host drift lands on both arms alike.
+    let round = duration / AB_ROUNDS as u32;
+    println!(
+        "loadgen: recorder A/B, {clients} clients, {AB_ROUNDS} alternating rounds of {} ms per arm ...",
+        round.as_millis()
+    );
+    let ab_server = |enabled: bool| {
+        Server::start(ServeConfig {
             admission: AdmissionConfig {
                 max_queued_per_tenant: 16,
                 max_inflight_per_tenant: 2,
@@ -378,20 +393,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ..FlightConfig::default()
             },
             ..ServeConfig::default()
-        })?;
-        let (traffic, elapsed_s) = closed_loop(server.addr(), duration, clients);
+        })
+    };
+    // Arm 0 has the recorder on, arm 1 off.
+    let arms = [ab_server(true)?, ab_server(false)?];
+    let mut completed = [0u64; 2];
+    let mut elapsed_s = [0.0f64; 2];
+    let mut round_overheads = Vec::with_capacity(AB_ROUNDS);
+    for r in 0..AB_ROUNDS {
+        let mut rate = [0.0f64; 2];
+        for k in 0..2 {
+            let arm = (r + k) % 2;
+            let (traffic, secs) = closed_loop(arms[arm].addr(), round, clients);
+            let jobs = traffic.completed.load(Ordering::Relaxed);
+            completed[arm] += jobs;
+            elapsed_s[arm] += secs;
+            rate[arm] = jobs as f64 / secs;
+        }
+        let [on, off] = rate;
+        round_overheads.push(if off > 0.0 {
+            (off - on) / off * 100.0
+        } else {
+            0.0
+        });
+    }
+    for server in arms {
         server.shutdown();
-        Ok(traffic.completed.load(Ordering::Relaxed) as f64 / elapsed_s)
-    };
-    let throughput_on = ab_arm(true)?;
-    let throughput_off = ab_arm(false)?;
-    let overhead_pct = if throughput_off > 0.0 {
-        (throughput_off - throughput_on) / throughput_off * 100.0
-    } else {
-        0.0
-    };
+    }
+    let throughput_on = completed[0] as f64 / elapsed_s[0];
+    let throughput_off = completed[1] as f64 / elapsed_s[1];
+    round_overheads.sort_by(f64::total_cmp);
+    let mid = AB_ROUNDS / 2;
+    let overhead_median = (round_overheads[mid - 1] + round_overheads[mid]) / 2.0;
+    let (overhead_min, overhead_max) = (round_overheads[0], round_overheads[AB_ROUNDS - 1]);
     println!(
-        "loadgen: recorder on {throughput_on:.1} jobs/s, off {throughput_off:.1} jobs/s ({overhead_pct:+.2}% overhead)"
+        "loadgen: recorder on {throughput_on:.1} jobs/s, off {throughput_off:.1} jobs/s; per-round overhead median {overhead_median:+.2}% (range {overhead_min:+.2}%..{overhead_max:+.2}%)"
     );
 
     let steal = match (steal_at_start, steal_ticks()) {
@@ -406,7 +442,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("loadgen: host {host}");
     let json = format!(
-        "{{\n  \"bench\": \"serve_loadgen\",\n  \"host\": {host},\n  \"config\": {{\"duration_ms\": {duration_ms}, \"clients\": {clients}, \"dispatchers\": {}, \"intra_threads\": {}}},\n  \"modes\": [\n    {},\n    {}\n  ],\n  \"latency_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}},\n  \"slo\": {{\"latency_objective_ns\": {}, \"objective\": {}, \"jobs\": {}, \"attainment\": {attainment:.6}, \"error_budget_burn\": {burn:.4}, \"pass\": {pass}}},\n  \"flight\": {{\"observed\": {}, \"retained\": {}, \"summarized\": {}, \"evicted\": {}, \"overhead_ns\": {}, \"ab\": {{\"recorder_on_jobs_per_s\": {throughput_on:.1}, \"recorder_off_jobs_per_s\": {throughput_off:.1}, \"overhead_pct\": {overhead_pct:.2}}}}},\n  \"ledger\": {{\"tenants\": {}, \"billed_microcredits\": {}, \"jobs_settled\": {}, \"jobs_cancelled\": {}}}\n}}\n",
+        "{{\n  \"bench\": \"serve_loadgen\",\n  \"host\": {host},\n  \"config\": {{\"duration_ms\": {duration_ms}, \"clients\": {clients}, \"dispatchers\": {}, \"intra_threads\": {}}},\n  \"modes\": [\n    {},\n    {}\n  ],\n  \"latency_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}},\n  \"slo\": {{\"latency_objective_ns\": {}, \"objective\": {}, \"jobs\": {}, \"attainment\": {attainment:.6}, \"error_budget_burn\": {burn:.4}, \"pass\": {pass}}},\n  \"flight\": {{\"observed\": {}, \"retained\": {}, \"summarized\": {}, \"evicted\": {}, \"overhead_ns\": {}, \"ab\": {{\"rounds\": {AB_ROUNDS}, \"round_ms\": {}, \"recorder_on_jobs_per_s\": {throughput_on:.1}, \"recorder_off_jobs_per_s\": {throughput_off:.1}, \"overhead_pct\": {overhead_median:.2}, \"overhead_pct_min\": {overhead_min:.2}, \"overhead_pct_max\": {overhead_max:.2}}}}},\n  \"ledger\": {{\"tenants\": {}, \"billed_microcredits\": {}, \"jobs_settled\": {}, \"jobs_cancelled\": {}}}\n}}\n",
         plan.dispatch_workers,
         plan.intra_per_job,
         mode_json("closed_loop", &closed, closed_s),
@@ -422,6 +458,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flight.summarized,
         flight.evicted,
         flight.overhead_ns,
+        round.as_millis(),
         drained.ledger.tenants.len(),
         drained.ledger.global.billed_microcredits,
         drained.ledger.global.jobs_settled,

@@ -4,16 +4,16 @@
 //! in Racetrack Memory"** (HPCA 2024). This umbrella crate re-exports the
 //! workspace crates so downstream users can depend on a single package:
 //!
-//! * [`rm_core`] — racetrack-memory substrate (nanowires, mats, subarrays,
-//!   banks; timing/energy/fault models).
+//! * [`rm_core`] — racetrack-memory substrate (nanowires, mats, subarrays;
+//!   device geometry; timing/energy/fault models).
 //! * [`dw_logic`] — domain-wall logic gates and the arithmetic structures
 //!   built from them (full adders, duplicator, circle adder, multiplier).
 //! * [`rm_bus`] — the segmented domain-wall nanowire bus (and the electrical
 //!   bus used by the `StPIM-e` ablation).
 //! * [`rm_proc`] — the 4-stage pipelined RM processor.
-//! * [`pim_device`] — the StreamPIM device: VPC ISA, bank controller,
-//!   placement and `unblock` optimizations, execution engine, and the
-//!   `PimTask` programming interface.
+//! * [`pim_device`] — the StreamPIM device: VPC ISA, placement and
+//!   `unblock` optimizations, execution engine (which prices VPC decode as
+//!   a per-VPC controller charge), and the `PimTask` programming interface.
 //! * [`pim_baselines`] — CPU-RM, CPU-DRAM, GPU, CORUSCANT, ELP2IM and FELIX
 //!   comparison platforms behind one `Platform` trait.
 //! * [`pim_cluster`] — multi-device scale-out: rank/channel clusters of
