@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt lint doc build test determinism bench-build trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments loc
+.PHONY: verify fmt lint doc build test test-names determinism bench-build trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments loc
 
-verify: fmt lint doc build test determinism bench-build trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
+verify: fmt lint doc build test test-names determinism bench-build trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
 	@echo "verify: all gates passed"
 
 fmt:
@@ -24,6 +24,15 @@ build:
 
 test:
 	$(CARGO) test -q --workspace
+
+# No test binary may list a name twice: a duplicate registration runs the
+# same test twice with the same seed. Lists every binary's tests (each list
+# ends with its "N tests, M benchmarks" line) and fails on a name repeated
+# within one list.
+test-names:
+	@mkdir -p target
+	$(CARGO) test --workspace -- --list > target/test-names.txt
+	awk '/: test$$/ { if (seen[$$0]++) { print "listed twice in one test binary: " $$0; dup = 1 } } /^[0-9]+ tests?, [0-9]+ benchmarks?$$/ { split("", seen) } END { exit dup }' target/test-names.txt
 
 # Intra-run parallelism determinism suite at several worker shapes: the
 # default counts (1,2,7,16), then deliberately awkward odd counts, then

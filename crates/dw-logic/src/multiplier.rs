@@ -49,12 +49,6 @@ impl Multiplier {
         self.width
     }
 
-    /// Product width in bits (`2 * width`).
-    #[inline]
-    pub fn product_width(&self) -> u32 {
-        2 * self.width
-    }
-
     /// Forms the `width` partial products of `a * b` from replicas of `a`
     /// (one AND per product bit), already shifted into position.
     ///
@@ -323,6 +317,5 @@ mod tests {
     #[test]
     fn latency_grows_with_width() {
         assert!(Multiplier::new(8).latency_cycles() > Multiplier::new(4).latency_cycles());
-        assert_eq!(Multiplier::new(8).product_width(), 16);
     }
 }

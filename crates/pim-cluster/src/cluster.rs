@@ -8,7 +8,7 @@ use pim_device::{ExecReport, Parallelism, PimError, Result, StreamPim};
 use pim_trace::{Collector, Event, Span, TraceSink};
 use pim_workloads::dnn::{matmul_task, MatMulShape};
 use pim_workloads::spec::WorkloadSpec;
-use rm_core::shard::{map_sharded, BufferProbe};
+use rm_core::shard::{run_sharded, BufferProbe};
 use rm_core::{EnergyBreakdown, OpCounters, Probe, ProbeSample, TimeBreakdown};
 use serde::{Deserialize, Serialize};
 
@@ -284,8 +284,8 @@ impl Cluster {
         probe: &dyn Probe,
     ) -> Result<ClusterReport> {
         let n = self.devices() as usize;
-        let shards = data_shards(shapes, n);
-        let lanes = self.run_lanes(&shards, sink.enabled(), probe.enabled())?;
+        let mut shards = data_shards(shapes, n);
+        let lanes = self.run_lanes(&mut shards, sink.enabled(), probe.enabled())?;
 
         // Link loads of one batch item: each device receives its A row
         // block plus the full (broadcast) B of every layer it computes, and
@@ -346,8 +346,8 @@ impl Cluster {
         probe: &dyn Probe,
     ) -> Result<ClusterReport> {
         let n = self.devices() as usize;
-        let stages = pipeline_stages(shapes, n);
-        let lanes = self.run_lanes(&stages, sink.enabled(), probe.enabled())?;
+        let mut stages = pipeline_stages(shapes, n);
+        let lanes = self.run_lanes(&mut stages, sink.enabled(), probe.enabled())?;
         let elem = u64::from(self.config.device.device.word_bits.div_ceil(8).max(1));
 
         // One-time weight load: every stage receives its layers' weights.
@@ -433,13 +433,13 @@ impl Cluster {
     /// Instruments are buffered per lane and replayed later by `finish`.
     fn run_lanes(
         &self,
-        shards: &[Vec<MatMulShape>],
+        shards: &mut [Vec<MatMulShape>],
         traced: bool,
         probed: bool,
     ) -> Result<Vec<LaneOutput>> {
         let workers = self.parallelism.resolve_here().min(shards.len().max(1));
         let config = &self.config.device;
-        let outputs = map_sharded(shards, workers, |_d, shard| -> Result<LaneOutput> {
+        let outputs = run_sharded(shards, workers, |_d, shard| -> Result<LaneOutput> {
             if shard.is_empty() {
                 return Ok(LaneOutput {
                     report: ExecReport::default(),

@@ -24,7 +24,7 @@
 //! device's engine attribution is replayed under `cluster/device[d]/...`.
 //!
 //! **Determinism contract.** Device lanes execute on scoped OS threads via
-//! [`rm_core::shard::map_sharded`] — one lane per simulated device, clamped
+//! [`rm_core::shard::run_sharded`] — one lane per simulated device, clamped
 //! by the cluster's [`Parallelism`](pim_device::Parallelism) — and all
 //! reports, probe records and trace spans are reduced in fixed device order
 //! on the coordinating thread. Results are byte-identical at any worker

@@ -34,11 +34,6 @@ impl OptLevel {
             OptLevel::Distribute | OptLevel::Unblock => PlacementKind::Distribute,
         }
     }
-
-    /// Whether transfers may overlap computation across subarrays.
-    pub fn overlaps_transfers(self) -> bool {
-        matches!(self, OptLevel::Unblock)
-    }
 }
 
 /// How many OS threads a single simulated run may use internally.
@@ -280,8 +275,6 @@ mod tests {
     fn opt_levels() {
         assert_eq!(OptLevel::Base.placement(), PlacementKind::Base);
         assert_eq!(OptLevel::Distribute.placement(), PlacementKind::Distribute);
-        assert!(OptLevel::Unblock.overlaps_transfers());
-        assert!(!OptLevel::Distribute.overlaps_transfers());
     }
 
     #[test]

@@ -174,24 +174,6 @@ impl VpcTrace {
         }
         c
     }
-
-    /// Total elements processed by compute commands.
-    pub fn compute_elements(&self) -> u64 {
-        self.vpcs
-            .iter()
-            .filter(|v| v.is_compute())
-            .map(|v| v.elements())
-            .sum()
-    }
-
-    /// Total elements moved by TRAN commands.
-    pub fn moved_elements(&self) -> u64 {
-        self.vpcs
-            .iter()
-            .filter(|v| !v.is_compute())
-            .map(|v| v.elements())
-            .sum()
-    }
 }
 
 impl FromIterator<Vpc> for VpcTrace {
@@ -281,8 +263,6 @@ mod tests {
         assert_eq!(c.pim, 2);
         assert_eq!(c.moves, 1);
         assert_eq!(c.total(), 3);
-        assert_eq!(trace.compute_elements(), 15);
-        assert_eq!(trace.moved_elements(), 10);
         assert_eq!(trace.len(), 3);
         assert!(!trace.is_empty());
     }

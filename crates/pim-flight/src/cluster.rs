@@ -39,13 +39,7 @@ pub struct DeviceUtilization {
 /// Thread-safe accumulator of [`DeviceUtilization`] rows.
 #[derive(Debug, Default)]
 pub struct ClusterUtilization {
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    devices: BTreeMap<u32, DeviceUtilization>,
-    jobs: u64,
+    devices: Mutex<BTreeMap<u32, DeviceUtilization>>,
 }
 
 impl ClusterUtilization {
@@ -55,14 +49,12 @@ impl ClusterUtilization {
     }
 
     /// Folds one finished request's attribution tree in. Trees without any
-    /// `cluster/…` nodes (single-device jobs) are counted but contribute
-    /// nothing.
+    /// `cluster/…` nodes (single-device jobs) contribute nothing.
     pub fn absorb_attribution(&self, tree: &AttributionTree) {
-        let mut inner = self.inner.lock().expect("cluster utilization lock");
-        inner.jobs += 1;
+        let mut devices = self.devices.lock().expect("cluster utilization lock");
         for (path, stats) in tree.iter() {
             if let Some((device, _rest)) = parse_device_path(path) {
-                let row = inner.devices.entry(device).or_insert(DeviceUtilization {
+                let row = devices.entry(device).or_insert(DeviceUtilization {
                     device,
                     ..DeviceUtilization::default()
                 });
@@ -70,7 +62,7 @@ impl ClusterUtilization {
                 row.energy_pj += stats.energy.total_pj();
                 row.ops += stats.ops;
             } else if let Some(device) = parse_link_path(path) {
-                let row = inner.devices.entry(device).or_insert(DeviceUtilization {
+                let row = devices.entry(device).or_insert(DeviceUtilization {
                     device,
                     ..DeviceUtilization::default()
                 });
@@ -82,13 +74,8 @@ impl ClusterUtilization {
 
     /// Point-in-time rows, sorted by device index.
     pub fn snapshot(&self) -> Vec<DeviceUtilization> {
-        let inner = self.inner.lock().expect("cluster utilization lock");
-        inner.devices.values().copied().collect()
-    }
-
-    /// Requests observed (cluster or not).
-    pub fn jobs_observed(&self) -> u64 {
-        self.inner.lock().expect("cluster utilization lock").jobs
+        let devices = self.devices.lock().expect("cluster utilization lock");
+        devices.values().copied().collect()
     }
 }
 
@@ -171,7 +158,6 @@ mod tests {
         util.absorb_attribution(&tree);
         util.absorb_attribution(&tree);
         let rows = util.snapshot();
-        assert_eq!(util.jobs_observed(), 2);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].device, 0);
         assert_eq!(rows[0].ops.pim_adds, 10, "two absorptions");

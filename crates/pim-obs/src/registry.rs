@@ -139,6 +139,14 @@ impl Histo {
         }
     }
 
+    /// Exact sum of recorded observations (wrapping on u64 overflow).
+    pub fn sum(&self) -> u64 {
+        match &self.0.value {
+            SeriesValue::Histogram(h) => h.sum(),
+            _ => unreachable!("histogram handle always wraps a histogram series"),
+        }
+    }
+
     /// The bucket-midpoint percentile estimate for quantile `q`.
     pub fn percentile(&self, q: f64) -> u64 {
         match &self.0.value {
@@ -349,7 +357,7 @@ mod tests {
 
         let h = registry.histogram("latency_ns", "Latency", &[]);
         h.observe(600);
-        assert_eq!(h.count(), 1);
+        assert_eq!((h.count(), h.sum()), (1, 600));
         assert_eq!(h.percentile(0.5), 767);
     }
 

@@ -17,14 +17,10 @@ use serde::{Deserialize, Serialize};
 pub struct Job {
     /// Display name (defaults to `<workload>/<platform>`).
     pub name: String,
-    /// Owning tenant, for per-tenant metrics and metering. The empty
-    /// string (the default) is the anonymous tenant; the runtime treats it
-    /// like any other.
-    pub tenant: String,
     /// Correlating request id, stamped by a serving edge (empty for
     /// direct batch submissions). Host-side telemetry only: it flows
-    /// into metrics rows and trace-span attributes but never into the
-    /// job's outcome, its schedule-cache key, or its platform identity.
+    /// into the job's trace-span attributes but never into the job's
+    /// outcome, its schedule-cache key, or its platform identity.
     pub request_id: String,
     /// What to price.
     pub workload: WorkloadSpec,
@@ -48,7 +44,6 @@ impl Job {
     pub fn new(workload: WorkloadSpec, platform: PlatformKind) -> Self {
         Job {
             name: format!("{}/{}", workload.name(), platform.name()),
-            tenant: String::new(),
             request_id: String::new(),
             workload,
             platform,
@@ -64,14 +59,8 @@ impl Job {
         self
     }
 
-    /// Assigns the job to a tenant (builder style).
-    pub fn for_tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = tenant.into();
-        self
-    }
-
-    /// Stamps the correlating request id (builder style). Serving edges
-    /// overwrite this on admission, exactly as they overwrite `tenant`.
+    /// Stamps the correlating request id (builder style). A serving edge
+    /// overwrites this on admission.
     pub fn with_request_id(mut self, request_id: impl Into<String>) -> Self {
         self.request_id = request_id.into();
         self
@@ -176,9 +165,7 @@ mod tests {
         assert_ne!(a.platform_key(), b.platform_key());
         assert_eq!(a.platform_key(), c.platform_key());
         // Telemetry-only fields never split the platform pool.
-        let d = Job::new(spec, PlatformKind::StPim)
-            .with_request_id("req-00000001")
-            .for_tenant("gold");
+        let d = Job::new(spec, PlatformKind::StPim).with_request_id("req-00000001");
         assert_eq!(a.platform_key(), d.platform_key());
     }
 

@@ -1,4 +1,4 @@
-//! Multi-tenant batch-simulation runtime for the StreamPIM model.
+//! Batch-simulation runtime for the StreamPIM model.
 //!
 //! Sweeps and design-space explorations price the *same* workloads on many
 //! platform configurations. Run serially, every job pays the full cost of
@@ -13,8 +13,11 @@
 //! * [`ScheduleCache`] — content-addressed: lowering is deterministic per
 //!   `(lowering config, workload spec)`, so the schedule is computed once
 //!   and shared by every job that names the same pair.
-//! * [`MetricsRegistry`] — per-job latency, queue depth and cache-hit
-//!   flags, plus aggregate operation/energy counters, exportable as JSON.
+//! * [`MetricsSnapshot`] — batch totals ([`Runtime::metrics`]): job
+//!   counts, a host-latency histogram, steals, cache statistics and the
+//!   aggregate simulated report, exportable as JSON. Per-job host facts
+//!   (latency, queue depth, worker, steal, cache hit) ride on each job's
+//!   host span instead.
 //!
 //! Determinism contract: a job's [`pim_device::ExecReport`] depends only on
 //! the job itself — not on batch order, worker count, or cache state. The
@@ -44,10 +47,7 @@ pub mod runtime;
 
 pub use cache::{ScheduleCache, SCHEDULE_CACHE_BUDGET};
 pub use job::Job;
-pub use metrics::{
-    quantize_ns_to_ps, quantize_pj_to_fj, JobMetrics, MetricsRegistry, MetricsSnapshot,
-    TenantMetrics, JOB_ROW_BUDGET,
-};
+pub use metrics::{quantize_ns_to_ps, quantize_pj_to_fj, MetricsSnapshot};
 // Serving edges and tools accept cluster specs inside `Job` JSON; re-export
 // the spec types so they don't need a direct pim-cluster dependency.
 pub use pim_cluster::{ClusterSpec, PartitionStrategy};

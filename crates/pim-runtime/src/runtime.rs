@@ -3,7 +3,7 @@
 use crate::cache::ScheduleCache;
 use crate::executor;
 use crate::job::Job;
-use crate::metrics::{JobMetrics, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use pim_baselines::{Platform, Workload};
 use pim_device::{ExecReport, Parallelism, PriceTable, StreamPim};
 use pim_trace::{Event, NullSink, Span, TraceSink, Track};
@@ -130,8 +130,9 @@ pub struct CacheDisposition {
 
 /// The deterministic result of one job: everything here is a pure function
 /// of the job itself. Host-side observations (latency, worker id, queue
-/// depth) deliberately live in [`MetricsRegistry`] instead — see the
-/// determinism contract in the crate docs.
+/// depth) deliberately live on the job's host span and in the batch totals
+/// of [`Runtime::metrics`] instead — see the determinism contract in the
+/// crate docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
     /// Index of the job in the submitted batch.
@@ -161,14 +162,13 @@ impl BatchResult {
     }
 }
 
-/// A multi-tenant batch-simulation service: submit [`Job`] batches, get
-/// index-aligned deterministic [`JobOutcome`]s, observe host behavior
-/// through the metrics registry.
+/// A batch-simulation service: submit [`Job`] batches, get index-aligned
+/// deterministic [`JobOutcome`]s, observe host behavior through the batch
+/// totals of [`Runtime::metrics`] and the spans of a trace sink.
 ///
 /// The runtime owns three shared, thread-safe structures that persist
 /// across batches: a pool of platform instances (jobs with equal
-/// platform+config share one), the schedule cache, and the metrics
-/// registry.
+/// platform+config share one), the schedule cache, and the batch totals.
 #[derive(Debug)]
 pub struct Runtime {
     config: RuntimeConfig,
@@ -219,7 +219,7 @@ impl Runtime {
         Runtime {
             config,
             cache: ScheduleCache::new(),
-            metrics: MetricsRegistry::new(),
+            metrics: MetricsRegistry::default(),
             platforms: Mutex::new(HashMap::new()),
             reprice: Mutex::new(HashMap::new()),
             sink,
@@ -265,14 +265,21 @@ impl Runtime {
         &self.cache
     }
 
-    /// A metrics snapshot covering every batch run so far.
+    /// The totals of every batch run so far, with the cache statistics read
+    /// from the schedule cache that owns them.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        MetricsSnapshot {
+            cache_hits: self.cache.hits(),
+            cache_misses: self.cache.misses(),
+            cache_entries: self.cache.len() as u64,
+            ..self.metrics.snapshot()
+        }
     }
 
-    /// The metrics as pretty-printed JSON (schema: [`MetricsSnapshot`]).
+    /// [`Runtime::metrics`] as pretty-printed JSON (schema:
+    /// [`MetricsSnapshot`]).
     pub fn metrics_json(&self) -> String {
-        self.metrics.to_json()
+        serde_json::to_string_pretty(&self.metrics()).expect("metrics serialize")
     }
 
     /// Stops intake and drains: after this returns, every batch that was
@@ -289,12 +296,7 @@ impl Runtime {
             intake = self.idle.wait(intake).expect("intake lock");
         }
         drop(intake);
-        self.metrics.snapshot()
-    }
-
-    /// Whether [`Runtime::shutdown`] has stopped intake.
-    pub fn is_draining(&self) -> bool {
-        self.intake.lock().expect("intake lock").draining
+        self.metrics()
     }
 
     /// Runs a batch of jobs on the work-stealing pool and returns outcomes
@@ -304,7 +306,7 @@ impl Runtime {
     ///
     /// After [`Runtime::shutdown`], batches are refused: every outcome
     /// carries a "runtime is draining" error and nothing is recorded in
-    /// the metrics registry (the jobs were never admitted).
+    /// the totals (the jobs were never admitted).
     pub fn run_batch(&self, jobs: &[Job]) -> BatchResult {
         self.run_batch_instrumented(jobs, &JobInstruments::disabled())
             .0
@@ -379,7 +381,6 @@ impl Runtime {
                 ),
             };
             let cache_hit = cache.hit;
-            let cache_probed = cache.probed;
             let latency_ns = started.elapsed().as_nanos() as u64;
             if self.sink.enabled() || instruments.sink.enabled() {
                 let track = Track::Worker(worker as u32);
@@ -418,25 +419,8 @@ impl Runtime {
                     );
                 self.record_span(instruments, span);
             }
-            self.metrics.record_job(
-                JobMetrics {
-                    index,
-                    name: job.name.clone(),
-                    tenant: job.tenant.clone(),
-                    request_id: job.request_id.clone(),
-                    platform: job.platform.name().to_string(),
-                    latency_ns,
-                    queue_depth,
-                    worker,
-                    cache_hit,
-                    cache_miss: cache_probed && !cache_hit,
-                    stolen,
-                    ok: false,          // set by record_job
-                    sim_time_ns: 0.0,   // set by record_job
-                    sim_energy_pj: 0.0, // set by record_job
-                },
-                report.as_ref().ok(),
-            );
+            self.metrics
+                .record_job(latency_ns, queue_depth, report.as_ref().ok());
             *slots[index].lock().expect("slot lock") = Some((
                 JobOutcome {
                     index,
@@ -448,8 +432,6 @@ impl Runtime {
         });
 
         self.metrics.record_steals(stats.steals);
-        self.metrics
-            .record_cache(self.cache.hits(), self.cache.misses(), self.cache.len());
 
         let (outcomes, dispositions) = slots
             .into_iter()
@@ -673,11 +655,6 @@ impl Runtime {
         let mut pool = self.platforms.lock().expect("platform pool lock");
         Ok(Arc::clone(pool.entry(key).or_insert(built)))
     }
-
-    /// Number of distinct platform instances currently pooled.
-    pub fn pooled_platforms(&self) -> usize {
-        self.platforms.lock().expect("platform pool lock").len()
-    }
 }
 
 #[cfg(test)]
@@ -763,7 +740,7 @@ mod tests {
         });
         runtime.run_batch(&small_jobs());
         // StPim (x2 jobs) + Coruscant + CpuRm = 3 distinct platforms.
-        assert_eq!(runtime.pooled_platforms(), 3);
+        assert_eq!(runtime.platforms.lock().unwrap().len(), 3);
     }
 
     #[test]
@@ -859,7 +836,7 @@ mod tests {
     }
 
     #[test]
-    fn request_ids_flow_to_spans_and_metrics_but_not_outcomes() {
+    fn request_ids_flow_to_spans_but_not_outcomes() {
         let sink = Arc::new(pim_trace::Collector::new());
         let runtime = Runtime::with_sink(
             RuntimeConfig {
@@ -876,11 +853,10 @@ mod tests {
         .with_request_id("req-00000007");
         let tagged = runtime.run_batch(std::slice::from_ref(&job));
 
-        // The id lands on the job span and the metrics row...
+        // The id lands on the job span...
         let spans = sink.spans();
         let job_span = spans.iter().find(|s| s.cat == "job").expect("job span");
         assert_eq!(job_span.request_id(), Some("req-00000007"));
-        assert_eq!(runtime.metrics().jobs[0].request_id, "req-00000007");
 
         // ...but never in the outcome: an untagged identical job on a
         // fresh runtime produces the same result.
@@ -965,10 +941,8 @@ mod tests {
         });
         let jobs = small_jobs();
         runtime.run_batch(&jobs);
-        assert!(!runtime.is_draining());
 
         let final_snapshot = runtime.shutdown();
-        assert!(runtime.is_draining());
         assert_eq!(final_snapshot.jobs_submitted, 4);
         assert_eq!(final_snapshot.jobs_completed, 4);
 
@@ -1011,32 +985,6 @@ mod tests {
                 other => panic!("batch must be fully admitted or refused, got {other}"),
             }
         });
-    }
-
-    #[test]
-    fn job_rows_carry_tenant_steal_and_miss_flags() {
-        let runtime = Runtime::new(RuntimeConfig {
-            workers: 1,
-            cache_enabled: true,
-            ..RuntimeConfig::default()
-        });
-        let jobs: Vec<Job> = small_jobs()
-            .into_iter()
-            .enumerate()
-            .map(|(i, job)| job.for_tenant(if i < 2 { "alice" } else { "bob" }))
-            .collect();
-        runtime.run_batch(&jobs);
-        let snap = runtime.metrics();
-        // Jobs 0/1 (alice): one miss then one hit. Job 2 (bob, Coruscant)
-        // misses; job 3 (bob, CpuRm) is a host platform and never probes.
-        assert_eq!(snap.tenants.len(), 2);
-        let alice = &snap.tenants[0];
-        assert_eq!((alice.cache_hits, alice.cache_misses), (1, 1));
-        let bob = &snap.tenants[1];
-        assert_eq!((bob.cache_hits, bob.cache_misses), (0, 1));
-        let host_row = &snap.jobs[3];
-        assert!(!host_row.cache_hit && !host_row.cache_miss);
-        assert_eq!(host_row.tenant, "bob");
     }
 
     #[test]
@@ -1176,10 +1124,11 @@ mod tests {
         let snap = runtime.metrics();
         assert_eq!(snap.jobs_submitted, 4);
         assert_eq!(snap.jobs_completed, 4);
-        assert_eq!(snap.jobs.len(), 4);
         assert_eq!(snap.cache_hits, 1);
+        // Jobs 0 and 2 lower their schedules; job 3 is a host platform and
+        // never probes the cache.
+        assert_eq!(snap.cache_misses, 2);
         assert!(snap.aggregate.total_ns() > 0.0);
-        assert!(snap.jobs.iter().all(|j| j.ok));
         let json = runtime.metrics_json();
         assert!(json.contains("\"jobs_submitted\": 4"));
     }
@@ -1271,13 +1220,16 @@ mod tests {
         assert_eq!(runtime.cache().hits(), 1);
     }
 
-    /// Records the thread every span arrives on.
+    /// Records every span with the thread it arrives on.
     #[derive(Debug, Default)]
-    struct ThreadSink(Mutex<Vec<std::thread::ThreadId>>);
+    struct ThreadSink(Mutex<Vec<(std::thread::ThreadId, Span)>>);
 
     impl TraceSink for ThreadSink {
-        fn record_span(&self, _span: Span) {
-            self.0.lock().unwrap().push(std::thread::current().id());
+        fn record_span(&self, span: Span) {
+            self.0
+                .lock()
+                .unwrap()
+                .push((std::thread::current().id(), span));
         }
 
         fn record_instant(&self, _event: Event) {}
@@ -1305,13 +1257,14 @@ mod tests {
         );
         let (batch, _) = runtime.run_batch_instrumented(std::slice::from_ref(&job), &instruments);
         assert_eq!(batch.completed(), 1);
-        let threads = sink.0.into_inner().unwrap();
+        let spans = sink.0.into_inner().unwrap();
         // The lowering span, the simulated timeline and the job span.
-        assert!(threads.len() > 2, "{} spans", threads.len());
+        assert!(spans.len() > 2, "{} spans", spans.len());
         let caller = std::thread::current().id();
-        assert!(threads.iter().all(|&t| t == caller));
-        let snap = runtime.metrics();
-        assert_eq!((snap.jobs[0].worker, snap.steals), (0, 0));
+        assert!(spans.iter().all(|(t, _)| *t == caller));
+        let (_, job_span) = spans.iter().find(|(_, s)| s.cat == "job").unwrap();
+        assert_eq!(job_span.track, Track::Worker(0));
+        assert_eq!(runtime.metrics().steals, 0);
     }
 
     /// Panics on every sample outside the host models' `host/` paths, so

@@ -21,8 +21,8 @@ pub struct SubmitRequest {
     /// Tenant the job is billed to (required, non-empty).
     pub tenant: String,
     /// The job to price — the same serializable [`Job`] the batch runtime
-    /// takes directly; its `tenant` field is overwritten from the field
-    /// above.
+    /// takes directly; its `request_id` is overwritten with the id minted
+    /// for this request.
     pub job: Job,
 }
 
@@ -60,8 +60,8 @@ pub struct SubmitResponse {
     pub tenant: String,
     /// Correlation id minted for the submitting HTTP request (also sent
     /// as the `x-request-id` response header). The same id appears in
-    /// the job's metrics row, its meter record, its trace spans, and the
-    /// event log.
+    /// the job's meter record, its trace spans, its flight record, and
+    /// the event log.
     pub request_id: String,
     /// Always [`JobState::Queued`] on admission.
     pub state: JobState,
@@ -120,7 +120,9 @@ pub struct HealthResponse {
     pub in_flight: usize,
 }
 
-/// Server-level traffic counters (monotone since start).
+/// Server-level traffic counters (monotone since start), read from the
+/// `pim_serve_submissions_total`, `pim_serve_admission_total{outcome}` and
+/// `pim_serve_cancellations_total` series of `GET /metrics.prom`.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Submissions received (admitted + rejected).
@@ -139,16 +141,17 @@ pub struct ServerStats {
     pub cancelled: u64,
 }
 
-/// `GET /v1/metrics` body: the server's own counters, the runtime's full
-/// snapshot (per-job and per-tenant rows, latency histogram), and the
-/// metering ledger.
+/// `GET /v1/metrics` body: the server's own counters, the runtime's batch
+/// totals (job counts, latency histogram, cache statistics), the metering
+/// ledger, SLO attainment, flight-recorder counters and cluster
+/// utilization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsResponse {
     /// Lifecycle phase at snapshot time.
     pub phase: Phase,
     /// Traffic counters.
     pub server: ServerStats,
-    /// The batch runtime's metrics snapshot.
+    /// The batch runtime's totals.
     pub runtime: MetricsSnapshot,
     /// The metering ledger.
     pub ledger: LedgerSummary,
@@ -173,7 +176,7 @@ pub struct DeviceHealthResponse {
 pub struct DrainResponse {
     /// Always [`Phase::Stopped`] on success.
     pub phase: Phase,
-    /// The runtime's final metrics snapshot.
+    /// The runtime's final totals.
     pub runtime: MetricsSnapshot,
     /// The flushed metering ledger.
     pub ledger: LedgerSummary,
@@ -211,6 +214,14 @@ mod tests {
         let back: SubmitRequest = serde_json::from_str(&json).unwrap();
         assert_eq!(back, request);
         assert!(json.contains("\"tenant\""));
+        // A job that still carries the `tenant` field older clients sent
+        // parses; the field is ignored.
+        let old = json.replacen("\"job\":{", "\"job\":{\"tenant\":\"bob\",", 1);
+        assert_ne!(old, json);
+        assert_eq!(
+            serde_json::from_str::<SubmitRequest>(&old).unwrap(),
+            request
+        );
     }
 
     #[test]

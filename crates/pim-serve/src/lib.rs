@@ -28,8 +28,8 @@
 //! Telemetry is always on and host-side only (see [`pim_obs`]): every
 //! HTTP exchange mints a `req-XXXXXXXX` correlation id, returned in the
 //! `x-request-id` response header and threaded through admission, the
-//! tenant queue, the metering ledger, the runtime job's metrics row, and
-//! its trace spans. The live registry is scraped at `GET /metrics.prom`
+//! tenant queue, the metering ledger, the runtime job's trace spans, and
+//! its flight record. The live registry is scraped at `GET /metrics.prom`
 //! (Prometheus text exposition 0.0.4), the structured event log at
 //! `GET /v1/events` (JSON lines), and per-tenant latency-SLO attainment
 //! rides along in `GET /v1/metrics`.

@@ -168,8 +168,8 @@ pub struct MeterRecord {
     /// and failed jobs).
     pub actual: Consumption,
     /// The report's raw simulated time (ns) — kept un-quantized so the
-    /// conservation tests can compare it bit-for-bit against the
-    /// runtime's per-job row.
+    /// conservation tests can compare it bit-for-bit against the job's
+    /// report.
     pub actual_sim_ns: f64,
     /// The report's raw simulated energy (pj), un-quantized (see
     /// `actual_sim_ns`).

@@ -130,11 +130,6 @@ impl TenantQueues {
         self.tenants.get(tenant).map_or(0, |q| q.fifo.len())
     }
 
-    /// In-flight jobs for one tenant.
-    pub fn in_flight_for(&self, tenant: &str) -> usize {
-        self.tenants.get(tenant).map_or(0, |q| q.in_flight)
-    }
-
     /// Total queued jobs across tenants.
     pub fn queued(&self) -> usize {
         self.queued
@@ -269,7 +264,6 @@ mod tests {
         queues.dispatch(usize::MAX).unwrap();
         assert_eq!(queues.queued(), 1);
         assert_eq!(queues.in_flight(), 1);
-        assert_eq!(queues.in_flight_for("a"), 1, "ties broke to a");
         assert_eq!(
             queues.depths(),
             vec![("a".to_string(), 0, 1), ("b".to_string(), 1, 0)],

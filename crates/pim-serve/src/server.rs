@@ -40,7 +40,8 @@ use crate::queue::TenantQueues;
 use pim_device::Parallelism;
 use pim_flight::{FaultTally, FlightConfig, FlightRecorder, JobObservation};
 use pim_obs::{
-    prom, EventLog, EventLogConfig, Level, Registry, RequestIdSource, SloConfig, SloTracker,
+    prom, Counter, EventLog, EventLogConfig, Histo, Level, Registry, RequestIdSource, SloConfig,
+    SloTracker,
 };
 use pim_runtime::{intra_worker_budget, Job, JobInstruments, Runtime, RuntimeConfig};
 use pim_trace::{NullSink, Span, TraceSink, Track, ATTR_REQUEST_ID};
@@ -48,7 +49,7 @@ use rm_core::WearTracker;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -228,60 +229,91 @@ impl CoreState {
     }
 }
 
-/// Monotone traffic counters (lock-free; read by `/v1/metrics`).
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    rejected_tenant: AtomicU64,
-    rejected_global: AtomicU64,
-    rejected_drain: AtomicU64,
-    shed_connections: AtomicU64,
-    cancelled: AtomicU64,
-    /// Completed-job service time, for `Retry-After` estimation.
-    service_ns_total: AtomicU64,
-    service_jobs: AtomicU64,
-}
-
-impl Counters {
-    fn stats(&self) -> ServerStats {
-        ServerStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected_tenant: self.rejected_tenant.load(Ordering::Relaxed),
-            rejected_global: self.rejected_global.load(Ordering::Relaxed),
-            rejected_drain: self.rejected_drain.load(Ordering::Relaxed),
-            shed_connections: self.shed_connections.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Mean observed service time, if any job has completed.
-    fn mean_service_ns(&self) -> Option<u64> {
-        let jobs = self.service_jobs.load(Ordering::Relaxed);
-        (jobs > 0).then(|| self.service_ns_total.load(Ordering::Relaxed) / jobs)
-    }
-}
-
 /// The always-on telemetry plane: one registry, one event ring, one SLO
 /// tracker, and the request-id mint — shared by every service thread.
 /// Everything here is host-side observation; nothing feeds back into
 /// simulated results (the determinism suite asserts this).
+///
+/// The series with fixed labels are resolved once, here; the `server`
+/// block of `GET /v1/metrics` and the `Retry-After` hint read them back,
+/// so each traffic number is counted in one place. Series labelled by
+/// tenant or route resolve per call.
 struct Obs {
     registry: Registry,
     events: EventLog,
     slo: SloTracker,
     request_ids: RequestIdSource,
+    /// `pim_serve_submissions_total`.
+    submissions: Counter,
+    /// `pim_serve_cancellations_total`.
+    cancellations: Counter,
+    /// `pim_serve_admission_total`, one series per outcome.
+    admitted: Counter,
+    rejected_tenant: Counter,
+    rejected_global: Counter,
+    rejected_drain: Counter,
+    shed_connections: Counter,
+    /// `pim_serve_job_service_ns`.
+    service_ns: Histo,
 }
 
 impl Obs {
     fn new(slo: SloConfig) -> Self {
+        let registry = Registry::new();
+        let admission = |outcome| {
+            registry.counter(
+                "pim_serve_admission_total",
+                "Admission decisions by outcome (admitted, rejected_tenant, rejected_global, rejected_drain, shed_connection).",
+                &[("outcome", outcome)],
+            )
+        };
         Obs {
-            registry: Registry::new(),
+            admitted: admission("admitted"),
+            rejected_tenant: admission("rejected_tenant"),
+            rejected_global: admission("rejected_global"),
+            rejected_drain: admission("rejected_drain"),
+            shed_connections: admission("shed_connection"),
+            submissions: registry.counter(
+                "pim_serve_submissions_total",
+                "Job submissions received (POST /v1/jobs), admitted, rejected or malformed.",
+                &[],
+            ),
+            cancellations: registry.counter(
+                "pim_serve_cancellations_total",
+                "Queued jobs cancelled before dispatch.",
+                &[],
+            ),
+            service_ns: registry.histogram(
+                "pim_serve_job_service_ns",
+                "Host wall-clock service time of one dispatched job, nanoseconds.",
+                &[],
+            ),
             events: EventLog::new(EventLogConfig::default()),
             slo: SloTracker::new(slo),
             request_ids: RequestIdSource::new(),
+            // Last: resolving the handles above borrows it.
+            registry,
         }
+    }
+
+    /// The `server` block of `GET /v1/metrics`, read from the series.
+    fn server_stats(&self) -> ServerStats {
+        ServerStats {
+            submitted: self.submissions.get(),
+            admitted: self.admitted.get(),
+            rejected_tenant: self.rejected_tenant.get(),
+            rejected_global: self.rejected_global.get(),
+            rejected_drain: self.rejected_drain.get(),
+            shed_connections: self.shed_connections.get(),
+            cancelled: self.cancellations.get(),
+        }
+    }
+
+    /// Mean service time of the dispatched jobs, if any job has run (for
+    /// `Retry-After` estimation).
+    fn mean_service_ns(&self) -> Option<u64> {
+        let jobs = self.service_ns.count();
+        (jobs > 0).then(|| self.service_ns.sum() / jobs)
     }
 }
 
@@ -295,7 +327,6 @@ struct Core {
     work: Condvar,
     /// Signaled when a job settles; drain waits.
     done: Condvar,
-    counters: Counters,
     /// Tells the acceptor to stop taking connections.
     stop: AtomicBool,
     /// Zero point of the service host clock.
@@ -342,7 +373,6 @@ impl Core {
             }),
             work: Condvar::new(),
             done: Condvar::new(),
-            counters: Counters::default(),
             stop: AtomicBool::new(false),
             origin: Instant::now(),
             sink,
@@ -419,10 +449,6 @@ impl Core {
             let outcome = batch.outcomes.into_iter().next().expect("one outcome");
             let cache = dispositions.into_iter().next().unwrap_or_default();
             let elapsed_ns = started.elapsed().as_nanos() as u64;
-            self.counters
-                .service_ns_total
-                .fetch_add(elapsed_ns, Ordering::Relaxed);
-            self.counters.service_jobs.fetch_add(1, Ordering::Relaxed);
 
             let ok = outcome.report.is_ok();
             self.obs.slo.observe(&tenant, ok, elapsed_ns);
@@ -434,14 +460,7 @@ impl Core {
                     &[("tenant", &tenant)],
                 )
                 .inc();
-            self.obs
-                .registry
-                .histogram(
-                    "pim_serve_job_service_ns",
-                    "Host wall-clock service time of one dispatched job, nanoseconds.",
-                    &[],
-                )
-                .observe(elapsed_ns);
+            self.obs.service_ns.observe(elapsed_ns);
             let id_str = job_id.to_string();
             match &outcome.report {
                 Ok(_) => self.obs.events.emit(
@@ -540,21 +559,9 @@ impl Core {
         }
     }
 
-    /// Bumps the labeled admission-outcome counter.
-    fn admission_outcome(&self, outcome: &str) {
-        self.obs
-            .registry
-            .counter(
-                "pim_serve_admission_total",
-                "Admission decisions by outcome (admitted, rejected_tenant, rejected_global, rejected_drain, shed_connection).",
-                &[("outcome", outcome)],
-            )
-            .inc();
-    }
-
     /// `POST /v1/jobs`.
     fn submit(&self, request: &Request, request_id: &str) -> Response {
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.obs.submissions.inc();
         let parsed: SubmitRequest = match serde_json::from_str(request.body_str()) {
             Ok(parsed) => parsed,
             Err(error) => return Response::error(400, &format!("bad submit body: {error}")),
@@ -574,12 +581,10 @@ impl Core {
             }
         }
         let tenant = parsed.tenant;
-        // Tenant and request id are both stamped at the edge: whatever the
-        // client put in those job fields is overwritten here.
-        let job = parsed
-            .job
-            .for_tenant(tenant.clone())
-            .with_request_id(request_id);
+        // The request id is stamped at the edge: whatever the client put in
+        // the job's field is overwritten here. The tenant stays out of the
+        // job; the job table, the queues and the ledger carry it.
+        let job = parsed.job.with_request_id(request_id);
 
         let mut state = self.state.lock().expect("core lock");
         let decision = admission::admit(
@@ -592,16 +597,11 @@ impl Core {
             let backlog = state.queues.queued() + state.queues.in_flight();
             drop(state);
             let (counter, outcome) = match &rejection {
-                Rejection::TenantQueueFull { .. } => {
-                    (&self.counters.rejected_tenant, "rejected_tenant")
-                }
-                Rejection::GlobalOverload { .. } => {
-                    (&self.counters.rejected_global, "rejected_global")
-                }
-                Rejection::Draining => (&self.counters.rejected_drain, "rejected_drain"),
+                Rejection::TenantQueueFull { .. } => (&self.obs.rejected_tenant, "rejected_tenant"),
+                Rejection::GlobalOverload { .. } => (&self.obs.rejected_global, "rejected_global"),
+                Rejection::Draining => (&self.obs.rejected_drain, "rejected_drain"),
             };
-            counter.fetch_add(1, Ordering::Relaxed);
-            self.admission_outcome(outcome);
+            counter.inc();
             self.obs.events.emit(
                 Level::Warn,
                 "admission",
@@ -638,8 +638,7 @@ impl Core {
         );
         state.queues.push(&tenant, job_id);
         drop(state);
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        self.admission_outcome("admitted");
+        self.obs.admitted.inc();
         let id_str = job_id.to_string();
         self.obs.events.emit(
             Level::Info,
@@ -668,7 +667,7 @@ impl Core {
     /// body. `request_id` is empty when the connection was shed before a
     /// request could be read.
     fn reject(&self, rejection: Rejection, backlog: usize, request_id: &str) -> Response {
-        let retry_ms = admission::retry_after_ms(backlog, self.counters.mean_service_ns());
+        let retry_ms = admission::retry_after_ms(backlog, self.obs.mean_service_ns());
         let body = ErrorResponse {
             error: rejection.reason(),
             request_id: request_id.to_string(),
@@ -788,7 +787,7 @@ impl Core {
                     },
                     None,
                 );
-                self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+                self.obs.cancellations.inc();
                 let id_str = job_id.to_string();
                 self.obs.events.emit(
                     Level::Info,
@@ -824,7 +823,7 @@ impl Core {
         let phase = self.state.lock().expect("core lock").phase;
         let body = MetricsResponse {
             phase,
-            server: self.counters.stats(),
+            server: self.obs.server_stats(),
             runtime: self.runtime.metrics(),
             ledger: self.ledger.summary(),
             slo: self.obs.slo.report(),
@@ -901,11 +900,6 @@ impl Core {
                 "pim_serve_ledger_records",
                 "Meter records the ledger holds: pending jobs plus finished jobs still retained.",
                 self.ledger.resident_records(),
-            ),
-            (
-                "pim_runtime_job_rows",
-                "Per-job rows the runtime metrics registry retains (a window of the most recent jobs).",
-                runtime.jobs.len(),
             ),
             (
                 "pim_runtime_cache_entries",
@@ -1285,10 +1279,7 @@ impl Core {
     /// with a 429 when the channel is full.
     fn hand_off(&self, tx: &SyncSender<TcpStream>, stream: TcpStream) {
         if let Err(TrySendError::Full(mut stream)) = tx.try_send(stream) {
-            self.counters
-                .shed_connections
-                .fetch_add(1, Ordering::Relaxed);
-            self.admission_outcome("shed_connection");
+            self.obs.shed_connections.inc();
             let backlog = {
                 let state = self.state.lock().expect("core lock");
                 state.queues.queued() + state.queues.in_flight()
@@ -1841,6 +1832,59 @@ mod tests {
             "dispatch event correlated: {body}"
         );
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn server_counters_are_their_prometheus_series() {
+        // Dispatch paused and one queued job per tenant: every outcome
+        // below is deterministic.
+        let config = ServeConfig {
+            dispatch_workers: 0,
+            admission: AdmissionConfig {
+                max_queued_per_tenant: 1,
+                ..AdmissionConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let server = Server::start(config).unwrap();
+        let addr = server.addr();
+        let post = |body: &str| call(&addr, "POST", "/v1/jobs", Some(body)).unwrap();
+        let (status, _, body) = post(&tiny_submit("alice"));
+        assert_eq!(status, 202, "{body}");
+        let admitted: SubmitResponse = serde_json::from_str(&body).unwrap();
+        assert_eq!(post(&tiny_submit("alice")).0, 429, "tenant cap");
+        assert_eq!(post("not json").0, 400);
+        let cancel = call(&addr, "DELETE", &format!("/v1/jobs/{}", admitted.id), None);
+        assert_eq!(cancel.unwrap().0, 200);
+        server.drain();
+        assert_eq!(post(&tiny_submit("alice")).0, 503, "draining");
+
+        let (_, _, body) = call(&addr, "GET", "/v1/metrics", None).unwrap();
+        let stats = serde_json::from_str::<MetricsResponse>(&body)
+            .unwrap()
+            .server;
+        let (_, _, prom) = call(&addr, "GET", "/metrics.prom", None).unwrap();
+        let series = |name: &str| -> u64 {
+            let prefix = format!("{name} ");
+            let line = prom.lines().find(|l| l.starts_with(&prefix));
+            line.unwrap_or_else(|| panic!("{name} missing:\n{prom}"))[prefix.len()..]
+                .parse()
+                .unwrap()
+        };
+        let outcome = |o: &str| series(&format!("pim_serve_admission_total{{outcome=\"{o}\"}}"));
+        let pairs = [
+            (stats.submitted, series("pim_serve_submissions_total"), 4),
+            (stats.admitted, outcome("admitted"), 1),
+            (stats.rejected_tenant, outcome("rejected_tenant"), 1),
+            (stats.rejected_global, outcome("rejected_global"), 0),
+            (stats.rejected_drain, outcome("rejected_drain"), 1),
+            (stats.shed_connections, outcome("shed_connection"), 0),
+            (stats.cancelled, series("pim_serve_cancellations_total"), 1),
+        ];
+        for (field, exposed, want) in pairs {
+            assert_eq!((field, exposed), (want, want), "{stats:?}");
+        }
         server.shutdown();
     }
 

@@ -69,6 +69,8 @@ proptest! {
         let ledger = Ledger::new(MeterConfig::default());
         let tenants = ["alice", "bob", "carol"];
         let kernels = [Kernel::Gemm, Kernel::Atax, Kernel::Bicg, Kernel::Mvt, Kernel::Gesummv];
+        // The outcomes' reports, each quantized once, as the ledger does.
+        let (mut outcome_time_ps, mut outcome_energy_fj) = (0u64, 0u64);
 
         for (job_id, (tenant_idx, kernel_idx, scale_steps)) in picks.iter().enumerate() {
             let job_id = job_id as u64;
@@ -83,7 +85,7 @@ proptest! {
                 prop_assert!(ledger.cancel(job_id));
                 continue;
             }
-            let job = Job::new(spec, PlatformKind::StPim).for_tenant(tenant);
+            let job = Job::new(spec, PlatformKind::StPim);
             let batch = runtime.run_batch(&[job]);
             let outcome = &batch.outcomes[0];
             let record = ledger.settle(job_id, outcome.report.as_ref().ok());
@@ -97,6 +99,8 @@ proptest! {
                     record.actual_sim_pj.to_bits(),
                     report.total_pj().to_bits()
                 );
+                outcome_time_ps += quantize_ns_to_ps(report.total_ns());
+                outcome_energy_fj += quantize_pj_to_fj(report.total_pj());
             }
         }
 
@@ -104,23 +108,11 @@ proptest! {
         let conservation = ledger.check_conservation(&snapshot);
         prop_assert!(conservation.is_ok(), "conservation violated: {:?}", conservation);
 
-        // The per-job raw floats in the ledger match the runtime's rows
-        // bit-for-bit (both sides recorded the identical f64).
+        // The ledger's metered totals equal the batch outcomes' reports,
+        // each quantized once (both sides saw the identical f64s).
         let summary = ledger.summary();
-        let runtime_time_ps: u64 = snapshot
-            .jobs
-            .iter()
-            .filter(|row| row.ok)
-            .map(|row| quantize_ns_to_ps(row.sim_time_ns))
-            .sum();
-        let runtime_energy_fj: u64 = snapshot
-            .jobs
-            .iter()
-            .filter(|row| row.ok)
-            .map(|row| quantize_pj_to_fj(row.sim_energy_pj))
-            .sum();
-        prop_assert_eq!(summary.global.consumed.time_ps, runtime_time_ps);
-        prop_assert_eq!(summary.global.consumed.energy_fj, runtime_energy_fj);
+        prop_assert_eq!(summary.global.consumed.time_ps, outcome_time_ps);
+        prop_assert_eq!(summary.global.consumed.energy_fj, outcome_energy_fj);
         // And the tenant partition sums to the global exactly.
         let tenant_billed: u64 = summary.tenants.iter().map(|t| t.billed_microcredits).sum();
         prop_assert_eq!(tenant_billed, summary.global.billed_microcredits);

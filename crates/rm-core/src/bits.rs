@@ -109,12 +109,6 @@ impl PackedBits {
         self.len == 0
     }
 
-    /// Number of storage words.
-    #[inline]
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
     /// The packed storage words (lane `i` = word `i/64`, bit `i%64`).
     #[inline]
     pub fn words(&self) -> &[u64] {
@@ -376,7 +370,6 @@ mod tests {
     fn new_is_zeroed() {
         let b = PackedBits::new(130);
         assert_eq!(b.len(), 130);
-        assert_eq!(b.word_count(), 3);
         assert_eq!(b.count_ones(), 0);
         assert!(!b.is_empty());
         assert!(PackedBits::new(0).is_empty());

@@ -64,7 +64,7 @@ pub use magnet::Magnetization;
 pub use mat::Mat;
 pub use nanowire::{Nanowire, ShiftDir};
 pub use probe::{NullProbe, Probe, ProbeAttachment, ProbeSample};
-pub use shard::{map_sharded, run_sharded, BufferProbe};
+pub use shard::{run_sharded, BufferProbe};
 pub use stats::{OpCounters, TimeBreakdown};
 pub use subarray::Subarray;
 pub use timing::TimingParams;

@@ -9,69 +9,17 @@
 //! [`OpCounters`](crate::OpCounters) / [`EnergyBreakdown`](crate::EnergyBreakdown)
 //! / probe streams are byte-identical to a serial run at *any* worker count.
 //!
-//! Two helpers cover the common shapes:
+//! [`run_sharded`] is the one fan-out: each thread owns a disjoint `&mut`
+//! chunk of a slice of shards (one subarray pipeline of a functional flow,
+//! one device lane's workload of a cluster) and the results come back in
+//! shard order, index-aligned with the input.
 //!
-//! * [`map_sharded`] — read-only fan-out over a slice of work items (e.g.
-//!   one lowered shard per simulated device of a cluster); the output
-//!   vector is index-aligned with the input.
-//! * [`run_sharded`] — exclusive fan-out over a slice of mutable shard
-//!   states (e.g. one subarray pipeline per shard); each thread owns a
-//!   disjoint `&mut` chunk, results come back in shard order.
-//!
-//! [`BufferProbe`] complements them for probe fan-in: each shard records
+//! [`BufferProbe`] complements it for probe fan-in: each shard records
 //! into its own buffer, and the buffers are replayed into the real probe in
 //! shard order afterwards, preserving the exact serial emission sequence.
 
 use crate::probe::{Probe, ProbeSample};
 use std::sync::Mutex;
-
-/// Maps `f` over `items` on up to `workers` scoped threads.
-///
-/// Items are split into at most `workers` contiguous chunks; each thread
-/// maps its chunk in order and the per-chunk outputs are concatenated in
-/// chunk order, so the result is index-aligned with `items` and identical
-/// to `items.iter().enumerate().map(..).collect()` for any worker count.
-/// `f` receives the *global* item index alongside the item.
-///
-/// `workers <= 1` (or a single item) runs inline without spawning.
-pub fn map_sharded<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let n = items.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let mut chunks_out: Vec<Vec<U>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let f = &f;
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(ci * chunk + i, t))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            chunks_out.push(h.join().expect("shard thread panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for c in chunks_out {
-        out.extend(c);
-    }
-    out
-}
 
 /// Runs `f` once per shard, each thread owning a disjoint chunk of shards.
 ///
@@ -81,6 +29,8 @@ where
 /// result is identical to a serial `iter_mut().enumerate()` loop for any
 /// worker count, so callers can merge per-shard accumulators in shard order
 /// and get byte-identical totals.
+///
+/// `workers <= 1` (or a single shard) runs inline without spawning.
 pub fn run_sharded<S, U, F>(shards: &mut [S], workers: usize, f: F) -> Vec<U>
 where
     S: Send,
@@ -184,22 +134,22 @@ mod tests {
     use crate::stats::OpCounters;
 
     #[test]
-    fn map_sharded_matches_serial_for_all_worker_counts() {
-        let items: Vec<u64> = (0..23).collect();
+    fn run_sharded_matches_serial_for_all_worker_counts() {
+        let mut items: Vec<u64> = (0..23).collect();
         let serial: Vec<u64> = items
             .iter()
             .enumerate()
             .map(|(i, v)| i as u64 * 1000 + v * 3)
             .collect();
         for workers in [0, 1, 2, 3, 7, 16, 64] {
-            let got = map_sharded(&items, workers, |i, v| i as u64 * 1000 + v * 3);
+            let got = run_sharded(&mut items, workers, |i, v| i as u64 * 1000 + *v * 3);
             assert_eq!(got, serial, "workers={workers}");
         }
     }
 
     #[test]
-    fn map_sharded_handles_empty_input() {
-        let out: Vec<u32> = map_sharded(&[] as &[u32], 4, |_, v| *v);
+    fn run_sharded_handles_empty_input() {
+        let out: Vec<u32> = run_sharded(&mut [] as &mut [u32], 4, |_, v| *v);
         assert!(out.is_empty());
     }
 

@@ -70,12 +70,6 @@ impl Subarray {
         }
     }
 
-    /// Number of mats.
-    #[inline]
-    pub fn mat_count(&self) -> usize {
-        self.mats.len()
-    }
-
     /// Bytes per row.
     #[inline]
     pub fn row_bytes(&self) -> usize {
@@ -297,7 +291,6 @@ mod tests {
     #[test]
     fn geometry() {
         let s = subarray();
-        assert_eq!(s.mat_count(), 2);
         assert_eq!(s.row_bytes(), 2);
         assert_eq!(s.total_rows(), 128);
         assert_eq!(s.capacity_bytes(), 256);

@@ -53,11 +53,6 @@ impl ProcOp {
         }
     }
 
-    /// Whether the circle adder participates.
-    pub fn uses_circle_adder(&self) -> bool {
-        matches!(self, ProcOp::DotProduct { .. } | ProcOp::VectorAdd { .. })
-    }
-
     /// Whether the duplicator/multiplier/tree stages participate.
     pub fn uses_multiplier(&self) -> bool {
         matches!(
@@ -91,13 +86,11 @@ mod tests {
         let dot = ProcOp::DotProduct { n: 100 };
         assert_eq!(dot.word_muls(), 100);
         assert_eq!(dot.word_adds(), 100);
-        assert!(dot.uses_circle_adder());
         assert!(dot.uses_multiplier());
 
         let smul = ProcOp::ScalarVectorMul { n: 50 };
         assert_eq!(smul.word_muls(), 50);
         assert_eq!(smul.word_adds(), 0);
-        assert!(!smul.uses_circle_adder());
 
         let add = ProcOp::VectorAdd { n: 25 };
         assert_eq!(add.word_muls(), 0);

@@ -125,11 +125,6 @@ impl PipelineModel {
             io_words,
         }
     }
-
-    /// Elements retired per cycle in steady state for the multiply path.
-    pub fn steady_state_throughput(&self) -> f64 {
-        self.lanes as f64 / self.beat_interval() as f64
-    }
 }
 
 impl Default for PipelineModel {
@@ -147,7 +142,6 @@ mod tests {
         let m = PipelineModel::paper_default();
         assert_eq!(m.lanes, 64);
         assert_eq!(m.beat_interval(), 4); // ceil(8 / 2)
-        assert_eq!(m.steady_state_throughput(), 16.0);
     }
 
     #[test]

@@ -318,7 +318,10 @@ pub mod prelude {
     };
 }
 
-/// Defines deterministic sampled property tests (see crate docs).
+/// Defines deterministic sampled property tests (see crate docs). As in
+/// proptest, the macro adds no `#[test]` of its own: each function carries
+/// the caller's attributes, so a property is registered once, by the
+/// `#[test]` written on it.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -340,7 +343,6 @@ macro_rules! __proptest_impl {
     ) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let __cfg: $crate::ProptestConfig = $cfg;
                 let mut __rng = $crate::TestRng::from_name(stringify!($name));
@@ -389,6 +391,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Ranges stay in bounds.
+        #[test]
         fn ranges_in_bounds(x in 3u64..10, y in -4i64..=4, f in 0.5f64..2.0) {
             prop_assert!((3..10).contains(&x));
             prop_assert!((-4..=4).contains(&y));
@@ -396,6 +399,7 @@ mod tests {
         }
 
         /// Vec strategies honor their length spec.
+        #[test]
         fn vec_lengths(xs in collection::vec(0u8..4, 1..6), ys in collection::vec(any::<bool>(), 3usize)) {
             prop_assert!((1..6).contains(&xs.len()));
             prop_assert_eq!(ys.len(), 3);
@@ -404,6 +408,7 @@ mod tests {
         }
 
         /// Tuple strategies sample both sides.
+        #[test]
         fn tuples(pairs in collection::vec((0u64..256, any::<bool>()), 0..8)) {
             for (v, _b) in &pairs {
                 prop_assert!(*v < 256);
@@ -411,6 +416,7 @@ mod tests {
         }
 
         /// `prop_oneof` draws from every arm; `prop_map`/`Just` compose.
+        #[test]
         fn oneof_and_map(xs in collection::vec(
             prop_oneof![
                 Just(0u64),

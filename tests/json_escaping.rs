@@ -1,6 +1,6 @@
 //! JSON validity under hostile workload names (ISSUE satellite): job
-//! names are user-controlled UTF-8 and flow into the event log, the
-//! metrics snapshot, and the flight recorder's debug endpoints. A name
+//! names are user-controlled UTF-8 and flow into the job status, the event
+//! log, and the flight recorder's debug endpoints. A name
 //! full of control characters, quotes, backslashes, and non-ASCII must
 //! round-trip through every JSON surface — each response body has to stay
 //! parseable by the workspace serde_json shim and give the name back
@@ -12,7 +12,7 @@ use streampim::pim_baselines::PlatformKind;
 use streampim::pim_flight::{FlightIndex, FlightRecord};
 use streampim::pim_obs::{EventRecord, SloConfig};
 use streampim::pim_runtime::Job;
-use streampim::pim_serve::api::{MetricsResponse, StatusResponse, SubmitRequest, SubmitResponse};
+use streampim::pim_serve::api::{StatusResponse, SubmitRequest, SubmitResponse};
 use streampim::pim_serve::{call, JobState, ServeConfig, Server};
 use streampim::pim_workloads::WorkloadSpec;
 
@@ -93,15 +93,6 @@ fn hostile_names_round_trip_through_every_json_surface() {
             .any(|e| e.request_id == submitted.request_id
                 && e.fields.iter().any(|(_, v)| v == NAUGHTY)),
         "no event carries the hostile name verbatim"
-    );
-
-    // /v1/metrics: the job's metrics row gives the name back.
-    let (status, _, body) = call(&addr, "GET", "/v1/metrics", None).unwrap();
-    assert_eq!(status, 200);
-    let metrics: MetricsResponse = serde_json::from_str(&body).unwrap();
-    assert!(
-        metrics.runtime.jobs.iter().any(|j| j.name == NAUGHTY),
-        "metrics row mangled the name"
     );
 
     // Debug endpoints: index and full record both parse and round-trip.

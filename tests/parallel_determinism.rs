@@ -183,8 +183,7 @@ fn observed_runs_are_bit_identical_to_unobserved_runs() {
                         n: 12 + 4 * i,
                     },
                     PlatformKind::StPim,
-                )
-                .for_tenant("det");
+                );
                 if with_ids {
                     job.with_request_id(format!("req-{i:08x}"))
                 } else {

@@ -126,7 +126,7 @@ fn overload_rejects_explicitly_and_admitted_jobs_match_direct_runs() {
     // the identical job on a fresh runtime (fresh = no shared cache, so
     // this also re-proves cache transparency).
     let direct = Runtime::new(RuntimeConfig::default());
-    for (id, tenant, m) in &admitted {
+    for (id, _, m) in &admitted {
         let (status, _, body) = call(&addr, "GET", &format!("/v1/jobs/{id}/result"), None).unwrap();
         assert_eq!(status, 200, "{body}");
         let served = raw_report(&body).to_string();
@@ -138,8 +138,7 @@ fn overload_rejects_explicitly_and_admitted_jobs_match_direct_runs() {
                 n: *m,
             },
             PlatformKind::StPim,
-        )
-        .for_tenant(*tenant);
+        );
         let outcome = direct.run_batch(&[job]).outcomes.remove(0);
         let report = outcome.report.expect("direct run succeeds");
         let direct_json = serde_json::to_string(&report).unwrap();
@@ -207,4 +206,59 @@ fn drain_races_are_explicit_too() {
         admitted,
         "every admitted job settled before the final snapshot"
     );
+}
+
+/// A submit body whose `job` still carries a `tenant` field, as clients
+/// written against the older job schema send it, is admitted with that
+/// field ignored: the job is billed to the request's tenant, served
+/// byte-identically to a direct run, and the job's own tenant string
+/// appears in no response or series.
+#[test]
+fn a_job_naming_its_own_tenant_is_billed_to_the_submitter() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let plain = submit_body("alice", 16);
+    let body = plain.replacen("\"job\":{", "\"job\":{\"tenant\":\"mallory\",", 1);
+    assert_ne!(body, plain, "the job object carries the stray field");
+    let (status, _, response) = call(&addr, "POST", "/v1/jobs", Some(&body)).unwrap();
+    assert_eq!(status, 202, "{response}");
+    let submitted: SubmitResponse = serde_json::from_str(&response).unwrap();
+    assert_eq!(submitted.tenant, "alice");
+    let terminal = poll_terminal(&addr, submitted.id);
+    assert_eq!(terminal.state, JobState::Completed);
+    assert_eq!(terminal.tenant, "alice");
+
+    let (status, _, result) = call(
+        &addr,
+        "GET",
+        &format!("/v1/jobs/{}/result", submitted.id),
+        None,
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{result}");
+    let job = Job::new(
+        WorkloadSpec::MatMul {
+            m: 16,
+            k: 16,
+            n: 16,
+        },
+        PlatformKind::StPim,
+    );
+    let direct = Runtime::new(RuntimeConfig::default()).run_batch(&[job]);
+    let direct = direct.outcomes[0]
+        .report
+        .as_ref()
+        .expect("direct run succeeds");
+    assert_eq!(raw_report(&result), serde_json::to_string(direct).unwrap());
+
+    for path in ["/v1/metrics", "/metrics.prom", "/v1/debug/requests"] {
+        let (status, _, body) = call(&addr, "GET", path, None).unwrap();
+        assert_eq!(status, 200, "{path}: {body}");
+        assert!(!body.contains("mallory"), "{path} names the ignored tenant");
+    }
+    let drained = server.shutdown();
+    let billed: Vec<_> = drained.ledger.tenants.iter().map(|t| &t.tenant).collect();
+    assert_eq!(billed, ["alice"]);
+    assert_eq!(drained.ledger.global.jobs_settled, 1);
 }

@@ -4,8 +4,8 @@
 //! plateau at its budget:
 //!
 //! 1. the resident-size gauges on `/metrics.prom` (finished job records,
-//!    ledger records, runtime job rows, schedule-cache entries) never
-//!    exceed their budgets and end exactly at them;
+//!    ledger records, schedule-cache entries) never exceed their budgets
+//!    and end exactly at them;
 //! 2. the `/v1/metrics` body stops growing with the number of jobs served;
 //! 3. the ledger still reconciles exactly with the runtime
 //!    (`check_conservation`), although neither keeps per-job state for
@@ -15,7 +15,7 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 use streampim::pim_baselines::PlatformKind;
-use streampim::pim_runtime::{Job, JOB_ROW_BUDGET, SCHEDULE_CACHE_BUDGET};
+use streampim::pim_runtime::{Job, SCHEDULE_CACHE_BUDGET};
 use streampim::pim_serve::api::{HealthResponse, SubmitRequest, SubmitResponse};
 use streampim::pim_serve::{call, ServeConfig, Server, TERMINAL_JOB_BUDGET};
 use streampim::pim_workloads::WorkloadSpec;
@@ -71,11 +71,10 @@ fn gauge(exposition: &str, name: &str) -> usize {
 }
 
 /// The budgeted gauges and their budgets.
-fn budgets() -> [(&'static str, usize); 4] {
+fn budgets() -> [(&'static str, usize); 3] {
     [
         ("pim_serve_finished_jobs", TERMINAL_JOB_BUDGET),
         ("pim_serve_ledger_records", TERMINAL_JOB_BUDGET),
-        ("pim_runtime_job_rows", JOB_ROW_BUDGET),
         ("pim_runtime_cache_entries", SCHEDULE_CACHE_BUDGET),
     ]
 }
@@ -120,9 +119,9 @@ fn per_job_state_plateaus_at_its_budgets() {
     }
 
     // Once every budget is full, the body no longer grows with the job
-    // count. It still wobbles by a few percent, because the retained rows'
-    // names and latencies differ in width; a row per job would instead add
-    // about 300 B per job, several times the whole body by the end.
+    // count. It still wobbles as counters and sums gain digits; a row per
+    // job would instead add about 300 B per job, several times the whole
+    // body by the end.
     let (settled_at, settled) = *body_sizes
         .iter()
         .find(|(served, _)| *served >= largest + CHECKPOINT_EVERY)
