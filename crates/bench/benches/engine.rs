@@ -1,20 +1,16 @@
 //! Benchmarks of the execution engine and task lowering: how fast the
-//! analytic simulator prices work.
+//! analytic simulator prices work. Lowering and pricing start from shape
+//! tasks (`WorkloadSpec::shape_task`), as every runtime job does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_device::matrix::Matrix;
-use pim_device::task::{MatrixOp, PimTask};
+use pim_device::task::{MatrixOp, PimTask, ShapeTask};
 use pim_device::{OptLevel, StreamPim, StreamPimConfig};
+use pim_workloads::{DnnKind, WorkloadSpec};
 use std::hint::black_box;
 
-fn matmul_task(n: usize) -> PimTask {
-    let mut task = PimTask::new();
-    let a = task.add_matrix(&Matrix::zeros(n, n)).unwrap();
-    let b = task.add_matrix(&Matrix::zeros(n, n)).unwrap();
-    let c = task.add_output(n, n).unwrap();
-    task.add_operation(MatrixOp::MatMul { a, b, dst: c })
-        .unwrap();
-    task
+fn matmul_task(n: usize) -> ShapeTask {
+    WorkloadSpec::MatMul { m: n, k: n, n }.shape_task()
 }
 
 fn bench_lowering(c: &mut Criterion) {
@@ -30,14 +26,21 @@ fn bench_lowering(c: &mut Criterion) {
     group.finish();
 }
 
+/// Pricing one lowered schedule. The `bert` row (242,496 commands in 360
+/// rounds) divided by its command count is the per-command pricing cost.
 fn bench_pricing(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_pricing");
     group.sample_size(20);
-    for n in [128usize, 512] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let device = StreamPim::new(StreamPimConfig::paper_default()).unwrap();
-            let schedule = matmul_task(n).lower(&device).unwrap();
-            b.iter(|| device.execute(black_box(&schedule)))
+    let device = StreamPim::new(StreamPimConfig::paper_default()).unwrap();
+    let tasks = [
+        ("128", matmul_task(128)),
+        ("512", matmul_task(512)),
+        ("bert", WorkloadSpec::dnn(DnnKind::Bert).shape_task()),
+    ];
+    for (name, task) in tasks {
+        let schedule = task.lower(&device).unwrap();
+        group.bench_with_input(BenchmarkId::from_parameter(name), &schedule, |b, s| {
+            b.iter(|| device.execute(black_box(s)))
         });
     }
     group.finish();

@@ -37,12 +37,11 @@ use crate::vpc::Vpc;
 use pim_trace::{Phase, Span, TraceSink, Track};
 use rm_bus::{BusModel, ElectricalBusModel};
 use rm_core::config::BusKind;
-use rm_core::{EnergyBreakdown, FnvHasher, OpCounters, Probe, ProbeSample};
+use rm_core::{EnergyBreakdown, OpCounters, Probe, ProbeSample};
 use rm_proc::{PipelineModel, ProcOp};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// Scheduling-model parameters.
 ///
@@ -197,16 +196,20 @@ impl PriceTable {
         self.misses
     }
 
-    /// The cost of `key` under `engine`, priced and inserted on first use.
-    fn cost(&mut self, engine: &Engine, key: PriceKey) -> VpcCost {
+    /// The cost of `key` under `engine` for a run of `commands` (at least
+    /// one) consecutive commands with that key, priced and inserted on
+    /// first use. Every command counts: the first ever with a new key is a
+    /// miss, and all others are hits.
+    fn cost(&mut self, engine: &Engine, key: PriceKey, commands: u64) -> &VpcCost {
         match self.entries.entry(key) {
             Entry::Occupied(hit) => {
-                self.hits += 1;
-                *hit.get()
+                self.hits += commands;
+                hit.into_mut()
             }
             Entry::Vacant(slot) => {
                 self.misses += 1;
-                *slot.insert(engine.price(key))
+                self.hits += commands - 1;
+                slot.insert(engine.price(key))
             }
         }
     }
@@ -242,6 +245,18 @@ struct VpcCost {
     counters: OpCounters,
 }
 
+impl VpcCost {
+    /// What one command with this cost adds in a round of `repeat`
+    /// (`times` as an integer, `scale` as the float it multiplies by).
+    fn sample(&self, times: u64, scale: f64) -> ProbeSample {
+        ProbeSample {
+            ops: scaled(self.counters, times),
+            energy: self.energy * scale,
+            busy_ns: self.busy_ns * scale,
+        }
+    }
+}
+
 /// The analytic engine (see module docs). Crate-private: callers price
 /// through [`crate::StreamPim`].
 #[derive(Debug, Clone)]
@@ -254,7 +269,8 @@ pub(crate) struct Engine {
     bus_kind: BusKind,
     cycle_ns: f64,
     words_per_row: u64,
-    tran_lanes: u64,
+    tran_lanes: u32,
+    subarrays: usize,
     read_ns: f64,
     write_ns: f64,
     read_pj: f64,
@@ -286,7 +302,8 @@ impl Engine {
             bus_kind: dev.bus,
             cycle_ns: dev.cycle_ns(),
             words_per_row: (dev.geometry.save_tracks_per_mat / dev.word_bits).max(1) as u64,
-            tran_lanes: dev.pim_banks.max(1) as u64,
+            tran_lanes: dev.pim_banks.max(1),
+            subarrays: dev.pim_subarrays() as usize,
             read_ns: dev.timing.read_ns,
             write_ns: dev.timing.write_ns,
             read_pj: dev.energy.read_pj,
@@ -320,15 +337,22 @@ impl Engine {
     /// *occupancy* — per-component busy sums intentionally exceed the
     /// composed wall-clock time, which is derived after the fact.
     ///
-    /// **Pricing.** One serial pass: each distinct [`PriceKey`] is priced
-    /// once, through `table` when one is given (keys it already holds are
-    /// replayed, new ones inserted) and through a scratch table otherwise.
-    /// A memoized cost is the exact value pricing the key computes,
-    /// provided the table was only ever fed by an engine with this
-    /// configuration, so every floating-point addition, probe sample and
-    /// trace span is the same at any table state. The per-round lane sums
-    /// and subarray loads live in buffers reused across rounds, so a run
-    /// allocates a fixed handful of times however many rounds it has.
+    /// **Pricing.** One serial pass over runs of equal [`PriceKey`]s (a
+    /// round's broadcasts, collects and computes each form a few). Each
+    /// distinct key is priced once, through `table` when one is given
+    /// (keys it already holds are replayed, new ones inserted) and through
+    /// a scratch table otherwise. A memoized cost is the exact value
+    /// pricing the key computes, provided the table was only ever fed by
+    /// an engine with this configuration. Per run, the cost is looked up
+    /// once, its `repeat`-scaled products are computed once, and the
+    /// integer counters, VPC count and table hits are added once; each
+    /// command then adds only its own float addends. Every float
+    /// accumulator still gets one addition per command, with the same
+    /// operands in schedule order, and integer sums are exact in any
+    /// grouping, so every report, probe sample and trace span is the same
+    /// at any table state and as a per-command pass. The per-round lane
+    /// sums and subarray loads live in buffers reused across rounds, so a
+    /// run allocates a fixed handful of times however many rounds it has.
     pub(crate) fn run(
         &self,
         schedule: &Schedule,
@@ -338,24 +362,7 @@ impl Engine {
     ) -> ExecReport {
         let mut scratch = PriceTable::new();
         let table = table.unwrap_or(&mut scratch);
-        // A round prices runs of equal keys (its broadcasts, its collects,
-        // its computes), so one cached entry in front of the table's map
-        // serves nearly every command.
-        let mut last: Option<(PriceKey, VpcCost)> = None;
-        let mut price = |vpc: &Vpc| {
-            let key = PriceKey::of(vpc);
-            match last {
-                Some((k, cost)) if k == key => {
-                    table.hits += 1;
-                    cost
-                }
-                _ => {
-                    let cost = table.cost(self, key);
-                    last = Some((key, cost));
-                    cost
-                }
-            }
-        };
+        let probed = probe.enabled();
 
         let lanes = self.tran_lanes as usize;
         let mut report = ExecReport::new();
@@ -370,13 +377,16 @@ impl Engine {
         let mut serial_total = 0.0f64; // Base/Distribute running total
         let mut tran_clock = 0.0f64; // Unblock transfer-phase span clock
         let mut vpc_count = 0u64;
-        // Per-round buffers, cleared at the start of each round; the
-        // per-subarray loads are sized once for the widest round.
+        // Per-round buffers, cleared at the end of each round. The
+        // per-subarray loads are indexed by home subarray and sized once
+        // for the device's PIM subarrays (a hand-built schedule with a home
+        // past that grows them); `touched` lists the homes the round has
+        // loaded, so only those are read and cleared.
         let mut bcast_lane = vec![0.0f64; lanes];
         let mut collect_lane = vec![0.0f64; lanes];
+        let mut sub_load: Vec<Option<f64>> = vec![None; self.subarrays];
         let widest = schedule.rounds.iter().map(|r| r.computes.len()).max();
-        let mut sub_load: HashMap<u32, f64, BuildHasherDefault<FnvHasher>> =
-            HashMap::with_capacity_and_hasher(widest.unwrap_or(0), Default::default());
+        let mut touched: Vec<usize> = Vec::with_capacity(widest.unwrap_or(0));
 
         for (round_idx, round) in schedule.rounds.iter().enumerate() {
             let repeat = round.repeat.max(1) as f64;
@@ -392,26 +402,27 @@ impl Engine {
                 (&round.broadcasts, &mut bcast_lane, &mut bcast_sum),
                 (&round.collects, &mut collect_lane, &mut collect_sum),
             ] {
-                for t in trans {
-                    if let Vpc::Tran { dst, .. } = *t {
-                        let cost = price(t);
-                        let lane = (dst as u64 % self.tran_lanes) as usize;
+                for (key, run) in key_runs(trans) {
+                    // Only TRANs move data: other commands a hand-built
+                    // schedule puts here are not priced.
+                    if !matches!(key, PriceKey::Tran(_)) {
+                        continue;
+                    }
+                    let commands = run.len() as u64;
+                    let cost = table.cost(self, key, commands);
+                    report.counters += scaled(cost.counters, round.repeat * commands);
+                    vpc_count += round.repeat * commands;
+                    let sample = cost.sample(round.repeat, repeat);
+                    for t in run {
+                        let Vpc::Tran { dst, .. } = *t else {
+                            unreachable!("a TRAN key prices only TRANs")
+                        };
+                        let lane = (dst % self.tran_lanes) as usize;
                         lane_ns[lane] += cost.busy_ns;
                         *sum += cost.busy_ns;
-                        report.energy += cost.energy * repeat;
-                        scale_counters(&mut report.counters, cost.counters, round.repeat);
-                        vpc_count += round.repeat;
-                        if probe.enabled() {
-                            let mut ops = OpCounters::default();
-                            scale_counters(&mut ops, cost.counters, round.repeat);
-                            probe.record(
-                                &format!("bus/lane[{lane}]"),
-                                ProbeSample {
-                                    ops,
-                                    energy: cost.energy * repeat,
-                                    busy_ns: cost.busy_ns * repeat,
-                                },
-                            );
+                        report.energy += sample.energy;
+                        if probed {
+                            probe.record(&format!("bus/lane[{lane}]"), sample);
                         }
                     }
                 }
@@ -425,38 +436,46 @@ impl Engine {
             }
 
             // --- Computes of this round -----------------------------------
-            sub_load.clear();
             let mut round_busy_sum = 0.0;
-            for c in &round.computes {
-                let cost = price(c);
-                let home = c.home_subarray().unwrap_or(0);
-                round_busy_sum += cost.busy_ns;
-                *sub_load.entry(home).or_default() += cost.busy_ns;
-                vol_proc += cost.proc_ns * repeat;
-                vol_overlap += cost.overlapped_ns * repeat;
-                if cost.transfer_is_conversion {
-                    vol_excl_conv += cost.excl_transfer_ns * repeat;
+            for (key, run) in key_runs(&round.computes) {
+                let commands = run.len() as u64;
+                let cost = table.cost(self, key, commands);
+                report.counters += scaled(cost.counters, round.repeat * commands);
+                vpc_count += round.repeat * commands;
+                let sample = cost.sample(round.repeat, repeat);
+                let proc = cost.proc_ns * repeat;
+                let overlapped = cost.overlapped_ns * repeat;
+                let excl = cost.excl_transfer_ns * repeat;
+                let vol_excl = if cost.transfer_is_conversion {
+                    &mut vol_excl_conv
                 } else {
-                    vol_excl_shift += cost.excl_transfer_ns * repeat;
-                }
-                report.energy += cost.energy * repeat;
-                scale_counters(&mut report.counters, cost.counters, round.repeat);
-                vpc_count += round.repeat;
-                if probe.enabled() {
-                    let mut ops = OpCounters::default();
-                    scale_counters(&mut ops, cost.counters, round.repeat);
-                    probe.record(
-                        &format!("device/subarray[{home}]"),
-                        ProbeSample {
-                            ops,
-                            energy: cost.energy * repeat,
-                            busy_ns: cost.busy_ns * repeat,
-                        },
-                    );
+                    &mut vol_excl_shift
+                };
+                for c in run {
+                    let home = c.home_subarray().unwrap_or(0) as usize;
+                    if home >= sub_load.len() {
+                        sub_load.resize(home + 1, None);
+                    }
+                    let load = &mut sub_load[home];
+                    if load.is_none() {
+                        touched.push(home);
+                    }
+                    *load.get_or_insert(0.0) += cost.busy_ns;
+                    round_busy_sum += cost.busy_ns;
+                    vol_proc += proc;
+                    vol_overlap += overlapped;
+                    *vol_excl += excl;
+                    report.energy += sample.energy;
+                    if probed {
+                        probe.record(&format!("device/subarray[{home}]"), sample);
+                    }
                 }
             }
-            let max_sub = sub_load.values().copied().fold(0.0f64, f64::max);
-            let used = sub_load.len().max(1) as f64;
+            let used = touched.len().max(1) as f64;
+            let max_sub = touched
+                .drain(..)
+                .filter_map(|home| sub_load[home].take())
+                .fold(0.0f64, f64::max);
             // Exposed once per round: the bus pipeline must fill before the
             // first operands reach the processors.
             let fill_ns = if round.computes.is_empty() || self.bus_kind != BusKind::DomainWall {
@@ -595,7 +614,7 @@ impl Engine {
         let controller_ns =
             vpc_count as f64 * self.params.controller_ns_per_vpc / self.tran_lanes as f64;
         report.energy.other_pj += vpc_count as f64 * 1.0; // 1 pJ decode per VPC
-        if probe.enabled() {
+        if probed {
             probe.record(
                 "device/controller",
                 ProbeSample {
@@ -789,17 +808,34 @@ fn phase_label(phase: Phase) -> &'static str {
     }
 }
 
-/// Adds `delta` into `acc`, `times` times (saturating is unnecessary at the
-/// scales involved; totals stay far below u64::MAX).
-fn scale_counters(acc: &mut OpCounters, delta: OpCounters, times: u64) {
-    acc.reads += delta.reads * times;
-    acc.writes += delta.writes * times;
-    acc.shifts += delta.shifts * times;
-    acc.shift_distance += delta.shift_distance * times;
-    acc.transverse_reads += delta.transverse_reads * times;
-    acc.pim_adds += delta.pim_adds * times;
-    acc.pim_muls += delta.pim_muls * times;
-    acc.gate_ops += delta.gate_ops * times;
+/// Splits `commands` into maximal runs of equal [`PriceKey`]s, in order.
+fn key_runs(commands: &[Vpc]) -> impl Iterator<Item = (PriceKey, &[Vpc])> {
+    let mut rest = commands;
+    std::iter::from_fn(move || {
+        let key = PriceKey::of(rest.first()?);
+        let len = rest
+            .iter()
+            .position(|c| PriceKey::of(c) != key)
+            .unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some((key, run))
+    })
+}
+
+/// `delta` added `times` times (saturating is unnecessary at the scales
+/// involved; totals stay far below u64::MAX).
+fn scaled(delta: OpCounters, times: u64) -> OpCounters {
+    OpCounters {
+        reads: delta.reads * times,
+        writes: delta.writes * times,
+        shifts: delta.shifts * times,
+        shift_distance: delta.shift_distance * times,
+        transverse_reads: delta.transverse_reads * times,
+        pim_adds: delta.pim_adds * times,
+        pim_muls: delta.pim_muls * times,
+        gate_ops: delta.gate_ops * times,
+    }
 }
 
 #[cfg(test)]
@@ -1086,6 +1122,128 @@ mod tests {
         assert_eq!(table.hits(), reqs - fresh);
         assert_eq!(table.len() as u64, fresh);
         assert!(!table.is_empty());
+    }
+
+    /// A schedule whose `PriceKey` changes on every command: TRAN lengths
+    /// alternate in broadcasts and collects, and computes cycle through
+    /// MUL/ADD/SMUL at alternating lengths. Rounds repeat 1, 3 and 7 times;
+    /// the second gives two computes to each home, and the third's last
+    /// compute lives past the device's `subarrays`.
+    fn alternating_keys(subarrays: u32) -> Schedule {
+        let mut s = Schedule::new();
+        for (r, repeat) in [1u64, 3, 7].into_iter().enumerate() {
+            let mut round = Round::new().repeated(repeat);
+            for i in 0..5 {
+                round.broadcasts.push(Vpc::Tran {
+                    src: 600,
+                    dst: i,
+                    len: 8 + i % 2 * 500,
+                });
+            }
+            for i in 0..9 {
+                let home = match r {
+                    1 => i / 2,
+                    2 if i == 8 => subarrays + 5,
+                    _ => i * 7,
+                };
+                let v = VecRef::new(home, 40 + i % 2 * 300);
+                round.computes.push(match i % 3 {
+                    0 => Vpc::Mul { src1: v, src2: v },
+                    1 => Vpc::Add { src1: v, src2: v },
+                    _ => Vpc::Smul { src: v },
+                });
+                round.collects.push(Vpc::Tran {
+                    src: home,
+                    dst: home + 1,
+                    len: 1 + i % 2 * 64,
+                });
+            }
+            s.push(round);
+        }
+        s
+    }
+
+    fn energy_bits(e: &EnergyBreakdown) -> [u64; 5] {
+        [e.read_pj, e.write_pj, e.shift_pj, e.compute_pj, e.other_pj].map(f64::to_bits)
+    }
+
+    /// Every time and energy field of `r`, as bits.
+    fn float_bits(r: &ExecReport) -> ([u64; 5], [u64; 5]) {
+        let t = r.time;
+        let time = [
+            t.read_ns,
+            t.write_ns,
+            t.shift_ns,
+            t.process_ns,
+            t.overlapped_ns,
+        ];
+        (time.map(f64::to_bits), energy_bits(&r.energy))
+    }
+
+    /// Prices `s` cold, warm and probed, and checks the run against
+    /// oracles summed command by command in schedule order.
+    fn check_folded_pricing(engine: &Engine, s: &Schedule) {
+        let commands: Vec<(&Vpc, &Round)> = s
+            .rounds
+            .iter()
+            .flat_map(|r| {
+                r.broadcasts
+                    .iter()
+                    .chain(&r.collects)
+                    .chain(&r.computes)
+                    .map(move |c| (c, r))
+            })
+            .collect();
+        let mut table = PriceTable::new();
+        let cold = engine.run(s, &NullSink, &NullProbe, Some(&mut table));
+        assert_eq!(table.hits() + table.misses(), commands.len() as u64);
+        let keys: std::collections::HashSet<PriceKey> =
+            commands.iter().map(|(c, _)| PriceKey::of(c)).collect();
+        assert_eq!(table.misses(), keys.len() as u64);
+
+        let mut counters = OpCounters::default();
+        let mut energy = EnergyBreakdown::default();
+        for (c, round) in &commands {
+            for _ in 0..round.repeat {
+                counters += engine.vpc_counters(c);
+            }
+            energy += engine.price(PriceKey::of(c)).energy * round.repeat as f64;
+        }
+        energy.other_pj += s.counts().total() as f64;
+        assert_eq!(cold.counters, counters);
+        assert_eq!(cold.vpc, s.counts());
+        assert_eq!(energy_bits(&cold.energy), energy_bits(&energy));
+
+        let warm = engine.run(s, &NullSink, &NullProbe, Some(&mut table));
+        let probe = rm_core::BufferProbe::new();
+        let probed = engine.run(s, &NullSink, &probe, None);
+        assert_eq!(probe.len(), commands.len() + 1, "one sample per command");
+        for other in [&warm, &probed] {
+            assert_eq!(float_bits(&cold), float_bits(other));
+            assert_eq!(cold.counters, other.counters);
+        }
+    }
+
+    #[test]
+    fn runs_of_one_command_price_like_long_runs() {
+        for cfg in [
+            StreamPimConfig::paper_default(),
+            StreamPimConfig::electrical_bus().with_opt(OptLevel::Base),
+            StreamPimConfig::paper_default().with_opt(OptLevel::Distribute),
+        ] {
+            let engine = Engine::new(&cfg);
+            let s = alternating_keys(cfg.device.pim_subarrays());
+            for pair in s.rounds.iter().flat_map(|r| {
+                [&r.broadcasts, &r.collects, &r.computes]
+                    .into_iter()
+                    .flat_map(|cmds| cmds.windows(2))
+            }) {
+                assert_ne!(PriceKey::of(&pair[0]), PriceKey::of(&pair[1]));
+            }
+            check_folded_pricing(&engine, &s);
+            // The same oracles over long runs of equal keys.
+            check_folded_pricing(&engine, &schedule(3, 16, 500));
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@ pub struct Job {
     /// Where to price it.
     pub platform: PlatformKind,
     /// Full StreamPIM configuration override (StreamPIM family only).
-    pub config: Option<StreamPimConfig>,
+    /// Boxed: few jobs carry one, and a `Job` without it stays small.
+    pub config: Option<Box<StreamPimConfig>>,
     /// Optimization-level override, applied on top of `config` or the
     /// platform default (StreamPIM family only).
     pub opt: Option<OptLevel>,
@@ -68,7 +69,7 @@ impl Job {
 
     /// Sets a full StreamPIM configuration override (builder style).
     pub fn with_config(mut self, config: StreamPimConfig) -> Self {
-        self.config = Some(config);
+        self.config = Some(Box::new(config));
         self
     }
 
@@ -88,7 +89,7 @@ impl Job {
     /// applied — `None` for platforms that are not in the StreamPIM family.
     pub fn effective_config(&self) -> Option<StreamPimConfig> {
         let base = match (&self.config, self.platform) {
-            (Some(cfg), _) => cfg.clone(),
+            (Some(cfg), _) => StreamPimConfig::clone(cfg),
             (None, PlatformKind::StPim) => StreamPimConfig::paper_default(),
             (None, PlatformKind::StPimE) => StreamPimConfig::electrical_bus(),
             (None, _) => return None,
@@ -130,7 +131,7 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_workloads::Kernel;
+    use pim_workloads::{DnnKind, Kernel};
 
     #[test]
     fn default_config_follows_platform() {
@@ -176,9 +177,13 @@ mod tests {
             PlatformKind::Coruscant,
         )
         .named("atax-on-coruscant");
-        let json = serde_json::to_string(&job).unwrap();
-        let back: Job = serde_json::from_str(&json).unwrap();
-        assert_eq!(job, back);
+        let overridden = Job::new(WorkloadSpec::dnn(DnnKind::Mlp), PlatformKind::StPim)
+            .with_config(StreamPimConfig::paper_default().with_segment_domains(64));
+        for job in [job, overridden] {
+            let json = serde_json::to_string(&job).unwrap();
+            let back: Job = serde_json::from_str(&json).unwrap();
+            assert_eq!(job, back);
+        }
     }
 
     #[test]

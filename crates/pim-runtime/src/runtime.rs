@@ -132,13 +132,10 @@ pub struct CacheDisposition {
 /// of the job itself. Host-side observations (latency, worker id, queue
 /// depth) deliberately live on the job's host span and in the batch totals
 /// of [`Runtime::metrics`] instead — see the determinism contract in the
-/// crate docs.
+/// crate docs. An outcome carries no job name or index: it sits at its
+/// job's index in [`BatchResult::outcomes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
-    /// Index of the job in the submitted batch.
-    pub index: usize,
-    /// Job display name.
-    pub name: String,
     /// The priced result, or the error message for failed jobs.
     pub report: Result<ExecReport, String>,
 }
@@ -328,15 +325,12 @@ impl Runtime {
             if intake.draining {
                 return (
                     BatchResult {
-                        outcomes: jobs
-                            .iter()
-                            .enumerate()
-                            .map(|(index, job)| JobOutcome {
-                                index,
-                                name: job.name.clone(),
+                        outcomes: vec![
+                            JobOutcome {
                                 report: Err("runtime is draining: batch refused".to_string()),
-                            })
-                            .collect(),
+                            };
+                            jobs.len()
+                        ],
                     },
                     vec![CacheDisposition::default(); jobs.len()],
                 );
@@ -421,14 +415,7 @@ impl Runtime {
             }
             self.metrics
                 .record_job(latency_ns, queue_depth, report.as_ref().ok());
-            *slots[index].lock().expect("slot lock") = Some((
-                JobOutcome {
-                    index,
-                    name: job.name.clone(),
-                    report,
-                },
-                cache,
-            ));
+            *slots[index].lock().expect("slot lock") = Some((JobOutcome { report }, cache));
         });
 
         self.metrics.record_steals(stats.steals);
@@ -664,6 +651,22 @@ mod tests {
     use pim_device::OptLevel;
     use pim_workloads::{Kernel, WorkloadSpec};
 
+    /// Callers that keep what they ran (a benchmark's output check, a
+    /// sweep's result table) hold one `Job` and one `JobOutcome` per job,
+    /// so these sizes are retained memory per job. A `Job` with an inline
+    /// `StreamPimConfig` and an outcome restating its job's name and index
+    /// measured 288 and 200 bytes.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn jobs_and_outcomes_stay_small() {
+        let (job, outcome) = (
+            std::mem::size_of::<Job>(),
+            std::mem::size_of::<JobOutcome>(),
+        );
+        assert!(job <= 112, "Job is {job} bytes");
+        assert!(outcome <= 168, "JobOutcome is {outcome} bytes");
+    }
+
     fn small_jobs() -> Vec<Job> {
         vec![
             Job::new(
@@ -697,9 +700,7 @@ mod tests {
         assert_eq!(batch.outcomes.len(), jobs.len());
         assert_eq!(batch.completed(), jobs.len());
         assert_eq!(batch.failed(), 0);
-        for (i, outcome) in batch.outcomes.iter().enumerate() {
-            assert_eq!(outcome.index, i);
-            assert_eq!(outcome.name, jobs[i].name);
+        for outcome in &batch.outcomes {
             assert!(outcome.report.as_ref().unwrap().total_ns() > 0.0);
         }
     }
@@ -1187,9 +1188,9 @@ mod tests {
             });
             let batch = runtime.run_batch(&jobs);
             assert_eq!(batch.failed(), jobs.len());
-            for outcome in &batch.outcomes {
+            for (job, outcome) in jobs.iter().zip(&batch.outcomes) {
                 let err = outcome.report.as_ref().unwrap_err();
-                assert!(err.contains("must be non-zero"), "{}: {err}", outcome.name);
+                assert!(err.contains("must be non-zero"), "{}: {err}", job.name);
             }
             assert_eq!(runtime.cache().len(), 0, "nothing was lowered");
         }

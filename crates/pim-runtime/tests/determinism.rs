@@ -91,12 +91,11 @@ fn reports_by_name(jobs: &[Job], workers: usize, cache: bool) -> HashMap<String,
     });
     let batch = runtime.run_batch(jobs);
     assert_eq!(batch.failed(), 0, "all mixed jobs succeed");
-    batch
-        .outcomes
-        .into_iter()
-        .map(|o| {
+    jobs.iter()
+        .zip(batch.outcomes)
+        .map(|(job, o)| {
             let json = serde_json::to_string(o.report.as_ref().unwrap()).unwrap();
-            (o.name, json)
+            (job.name.clone(), json)
         })
         .collect()
 }
@@ -159,8 +158,8 @@ fn warm_cache_reproduces_cold_reports_with_hits() {
     let misses = runtime.cache().misses();
     runtime.run_batch(&jobs);
     assert_eq!(runtime.cache().misses(), misses, "fully warm");
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
-        assert_eq!(c, w, "warm outcome identical to cold for {}", c.name);
+    for ((job, c), w) in jobs.iter().zip(&cold.outcomes).zip(&warm.outcomes) {
+        assert_eq!(c, w, "warm outcome identical to cold for {}", job.name);
     }
 }
 

@@ -167,13 +167,6 @@ pub struct MeterRecord {
     /// Metered consumption (zero until settled; stays zero for cancelled
     /// and failed jobs).
     pub actual: Consumption,
-    /// The report's raw simulated time (ns) — kept un-quantized so the
-    /// conservation tests can compare it bit-for-bit against the job's
-    /// report.
-    pub actual_sim_ns: f64,
-    /// The report's raw simulated energy (pj), un-quantized (see
-    /// `actual_sim_ns`).
-    pub actual_sim_pj: f64,
     /// Usage-reconciled price, microcredits: what the consumption cost at
     /// the configured time/energy rates (zero for cancelled/failed jobs,
     /// minimum one base rate for any job that ran).
@@ -274,8 +267,6 @@ impl Ledger {
             estimated_microcredits: estimated,
             state: MeterState::Pending,
             actual: Consumption::default(),
-            actual_sim_ns: 0.0,
-            actual_sim_pj: 0.0,
             billed_microcredits: 0,
         };
         let mut inner = self.inner.lock().expect("ledger lock");
@@ -300,22 +291,15 @@ impl Ledger {
     /// (server bug, not client error).
     pub fn settle(&self, job_id: u64, report: Option<&ExecReport>) -> MeterRecord {
         let mut inner = self.inner.lock().expect("ledger lock");
-        let (tenant, actual, sim_ns, sim_pj, billed) = {
+        let (tenant, actual, billed) = {
             let record = inner.records.get(&job_id).expect("settle: job admitted");
             assert_eq!(record.state, MeterState::Pending, "settle: still pending");
             match report {
                 Some(r) => {
                     let actual = Consumption::from_report(r);
-                    let billed = self.bill(&actual);
-                    (
-                        record.tenant.clone(),
-                        actual,
-                        r.total_ns(),
-                        r.total_pj(),
-                        billed,
-                    )
+                    (record.tenant.clone(), actual, self.bill(&actual))
                 }
-                None => (record.tenant.clone(), Consumption::default(), 0.0, 0.0, 0),
+                None => (record.tenant.clone(), Consumption::default(), 0),
             }
         };
         let LedgerInner {
@@ -332,8 +316,6 @@ impl Ledger {
             .expect("settle: job admitted");
         record.state = MeterState::Settled;
         record.actual = actual;
-        record.actual_sim_ns = sim_ns;
-        record.actual_sim_pj = sim_pj;
         record.billed_microcredits = billed;
         record.clone()
     }

@@ -5,7 +5,7 @@
 
 use pim_baselines::PlatformKind;
 use pim_runtime::{quantize_ns_to_ps, quantize_pj_to_fj, Job, Runtime, RuntimeConfig};
-use pim_serve::meter::{tier_for, Ledger, MeterConfig};
+use pim_serve::meter::{tier_for, Consumption, Ledger, MeterConfig};
 use pim_serve::{api::SubmitRequest, call, AdmissionConfig, ServeConfig, Server};
 use pim_workloads::{Kernel, WorkloadSpec};
 use proptest::prelude::*;
@@ -89,16 +89,9 @@ proptest! {
             let batch = runtime.run_batch(&[job]);
             let outcome = &batch.outcomes[0];
             let record = ledger.settle(job_id, outcome.report.as_ref().ok());
-            // The record's raw floats are the report's, bit-for-bit.
+            // The record meters exactly the job's report.
             if let Ok(report) = &outcome.report {
-                prop_assert_eq!(
-                    record.actual_sim_ns.to_bits(),
-                    report.total_ns().to_bits()
-                );
-                prop_assert_eq!(
-                    record.actual_sim_pj.to_bits(),
-                    report.total_pj().to_bits()
-                );
+                prop_assert_eq!(record.actual, Consumption::from_report(report));
                 outcome_time_ps += quantize_ns_to_ps(report.total_ns());
                 outcome_energy_fj += quantize_pj_to_fj(report.total_pj());
             }

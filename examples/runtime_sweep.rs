@@ -60,11 +60,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<18} {:>12} {:>12}",
         "kernel/platform", "sim time", "sim energy"
     );
-    for outcome in cold.outcomes.iter().take(PlatformKind::FIGURE_17.len()) {
+    for (job, outcome) in jobs
+        .iter()
+        .zip(&cold.outcomes)
+        .take(PlatformKind::FIGURE_17.len())
+    {
         let report = outcome.report.as_ref().map_err(|e| e.clone())?;
         println!(
             "{:<18} {:>9.3} ms {:>9.3} mJ",
-            outcome.name,
+            job.name,
             report.total_ns() / 1e6,
             report.total_pj() / 1e9
         );

@@ -272,6 +272,18 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Box<T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        T::from_value(v).map(Box::new)
+    }
+}
+
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
@@ -308,6 +320,21 @@ mod tests {
         assert!(bool::from_value(&true.to_value()).unwrap());
         let v: Vec<(u64, u64)> = vec![(1, 2), (3, 4)];
         assert_eq!(Vec::<(u64, u64)>::from_value(&v.to_value()).unwrap(), v);
+    }
+
+    #[test]
+    fn boxes_serialize_as_their_contents() {
+        let boxed: Option<Box<(u32, String)>> = Some(Box::new((7, "x".into())));
+        let value = boxed.to_value();
+        assert_eq!(value, (7u32, "x".to_string()).to_value());
+        assert_eq!(
+            Option::<Box<(u32, String)>>::from_value(&value).unwrap(),
+            boxed
+        );
+        assert_eq!(
+            Option::<Box<(u32, String)>>::from_value(&Value::Null).unwrap(),
+            None
+        );
     }
 
     #[test]
