@@ -37,11 +37,11 @@ test-names:
 # Intra-run parallelism determinism suite at several worker shapes: the
 # default counts (1,2,7,16), then deliberately awkward odd counts, then
 # powers of two up to 32. Reports must be byte-identical to serial in
-# every shape.
+# every shape, and cluster reports to their frozen goldens.
 determinism:
-	$(CARGO) test -q --test parallel_determinism --test cluster_determinism
-	STREAMPIM_TEST_WORKERS=1,3,5,13 $(CARGO) test -q --test parallel_determinism --test cluster_determinism
-	STREAMPIM_TEST_WORKERS=2,4,8,32 $(CARGO) test -q --test parallel_determinism --test cluster_determinism
+	$(CARGO) test -q --test parallel_determinism --test cluster_determinism --test golden_cluster
+	STREAMPIM_TEST_WORKERS=1,3,5,13 $(CARGO) test -q --test parallel_determinism --test cluster_determinism --test golden_cluster
+	STREAMPIM_TEST_WORKERS=2,4,8,32 $(CARGO) test -q --test parallel_determinism --test cluster_determinism --test golden_cluster
 
 # Benches and examples must stay compilable even when not run.
 bench-build:

@@ -132,6 +132,20 @@ struct LaneOutput {
     probes: Vec<(String, ProbeSample)>,
 }
 
+/// The lanes of one run: one output per distinct shard, and for each
+/// device the index of its shard's output.
+struct Lanes {
+    outputs: Vec<LaneOutput>,
+    of_device: Vec<usize>,
+}
+
+impl Lanes {
+    /// Every device's output, in device order (equal shards share one).
+    fn iter(&self) -> impl Iterator<Item = &LaneOutput> {
+        self.of_device.iter().map(|&i| &self.outputs[i])
+    }
+}
+
 /// A cluster of N identical StreamPIM devices (see the crate docs for the
 /// execution model and determinism contract).
 #[derive(Debug, Clone)]
@@ -215,6 +229,10 @@ impl Cluster {
     /// byte-identical to `Platform::run_instrumented` on the same device
     /// configuration.
     ///
+    /// The devices are identical, so equal shards are equal lanes: each
+    /// distinct shard is lowered and priced once, and every device holding
+    /// it replays that lane's output.
+    ///
     /// # Errors
     ///
     /// Returns [`PimError::Config`] for a zero batch or for partitioning a
@@ -284,8 +302,8 @@ impl Cluster {
         probe: &dyn Probe,
     ) -> Result<ClusterReport> {
         let n = self.devices() as usize;
-        let mut shards = data_shards(shapes, n);
-        let lanes = self.run_lanes(&mut shards, sink.enabled(), probe.enabled())?;
+        let shards = data_shards(shapes, n);
+        let lanes = self.run_lanes(&shards, sink.enabled(), probe.enabled())?;
 
         // Link loads of one batch item: each device receives its A row
         // block plus the full (broadcast) B of every layer it computes, and
@@ -346,8 +364,8 @@ impl Cluster {
         probe: &dyn Probe,
     ) -> Result<ClusterReport> {
         let n = self.devices() as usize;
-        let mut stages = pipeline_stages(shapes, n);
-        let lanes = self.run_lanes(&mut stages, sink.enabled(), probe.enabled())?;
+        let stages = pipeline_stages(shapes, n);
+        let lanes = self.run_lanes(&stages, sink.enabled(), probe.enabled())?;
         let elem = u64::from(self.config.device.device.word_bits.div_ceil(8).max(1));
 
         // One-time weight load: every stage receives its layers' weights.
@@ -428,18 +446,28 @@ impl Cluster {
         )
     }
 
-    /// Runs one device lane per shard on scoped threads (clamped by the
-    /// cluster's parallelism) and returns the outputs in device order.
+    /// Runs one lane per distinct shard on scoped threads (clamped by the
+    /// cluster's parallelism) and maps every device to its shard's lane.
     /// Instruments are buffered per lane and replayed later by `finish`.
-    fn run_lanes(
-        &self,
-        shards: &mut [Vec<MatMulShape>],
-        traced: bool,
-        probed: bool,
-    ) -> Result<Vec<LaneOutput>> {
-        let workers = self.parallelism.resolve_here().min(shards.len().max(1));
+    fn run_lanes(&self, shards: &[Vec<MatMulShape>], traced: bool, probed: bool) -> Result<Lanes> {
+        // Distinct shards in order of first appearance (a cluster has at
+        // most `MAX_DEVICES` shards, so a linear scan is enough).
+        let mut distinct: Vec<&[MatMulShape]> = Vec::new();
+        let of_device = shards
+            .iter()
+            .map(|shard| {
+                distinct
+                    .iter()
+                    .position(|seen| *seen == shard.as_slice())
+                    .unwrap_or_else(|| {
+                        distinct.push(shard);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        let workers = self.parallelism.resolve_here().min(distinct.len().max(1));
         let config = &self.config.device;
-        let outputs = run_sharded(shards, workers, |_d, shard| -> Result<LaneOutput> {
+        let outputs = run_sharded(&mut distinct, workers, |_, shard| -> Result<LaneOutput> {
             if shard.is_empty() {
                 return Ok(LaneOutput {
                     report: ExecReport::default(),
@@ -449,7 +477,8 @@ impl Cluster {
                 });
             }
             // Each lane prices serially: the cluster's thread budget is
-            // spent one lane per device, not nested inside the engine.
+            // spent one lane per distinct shard, not nested inside the
+            // engine.
             let device = StreamPim::new(config.clone())?.with_parallelism(Parallelism::Serial);
             let schedule = matmul_task(shard).lower(&device)?;
             let collector = Collector::new();
@@ -468,7 +497,10 @@ impl Cluster {
                 probes: buffer.take(),
             })
         });
-        outputs.into_iter().collect()
+        Ok(Lanes {
+            outputs: outputs.into_iter().collect::<Result<_>>()?,
+            of_device,
+        })
     }
 
     /// The fixed-device-order reduction shared by both strategies: charges
@@ -487,7 +519,7 @@ impl Cluster {
         batch: u32,
         sink: &dyn TraceSink,
         probe: &dyn Probe,
-        lanes: &[LaneOutput],
+        lanes: &Lanes,
     ) -> Result<ClusterReport> {
         // Static power: every device's peripherals stay powered for the
         // whole cluster window (same formula as the single-device path).

@@ -24,10 +24,12 @@
 //! device's engine attribution is replayed under `cluster/device[d]/...`.
 //!
 //! **Determinism contract.** Device lanes execute on scoped OS threads via
-//! [`rm_core::shard::run_sharded`] — one lane per simulated device, clamped
-//! by the cluster's [`Parallelism`](pim_device::Parallelism) — and all
-//! reports, probe records and trace spans are reduced in fixed device order
-//! on the coordinating thread. Results are byte-identical at any worker
+//! [`rm_core::shard::run_sharded`] — one lane per distinct shard (the
+//! devices are identical, so equal shards lower and price once and every
+//! device holding one reads its lane's output), clamped by the cluster's
+//! [`Parallelism`](pim_device::Parallelism) — and all reports, probe
+//! records and trace spans are reduced in fixed device order on the
+//! coordinating thread. Results are byte-identical at any worker
 //! count, and a single-device cluster (`n = 1`, batch 1) routes through
 //! exactly the single-device code path, so its report is byte-identical to
 //! [`Platform::run`](pim_baselines::Platform) on the same configuration.

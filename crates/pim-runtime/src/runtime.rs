@@ -446,12 +446,13 @@ impl Runtime {
         if let Err(e) = job.workload.validate() {
             return (Err(e), unprobed);
         }
-        // Multi-device cluster jobs take the cluster path: each device
-        // lowers its own shard, so the shared schedule cache and re-pricing
-        // memo don't apply. A one-device batch-1 spec falls through to the
-        // ordinary single-device path below — the cluster contract makes
-        // the two byte-identical, and falling through keeps the cache and
-        // re-pricing memo engaged for it.
+        // Multi-device cluster jobs take the cluster path: the cluster
+        // lowers and prices each distinct shard itself, so the shared
+        // schedule cache and re-pricing memo don't apply. A one-device
+        // batch-1 spec falls through to the ordinary single-device path
+        // below — the cluster contract makes the two byte-identical, and
+        // falling through keeps the cache and re-pricing memo engaged for
+        // it.
         if let Some(spec) = &job.cluster {
             if spec.devices != 1 || spec.batch != 1 {
                 return (self.run_cluster(job, *spec, instruments), unprobed);

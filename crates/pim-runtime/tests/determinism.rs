@@ -9,7 +9,7 @@
 
 use pim_baselines::PlatformKind;
 use pim_device::OptLevel;
-use pim_runtime::{Job, Runtime, RuntimeConfig};
+use pim_runtime::{ClusterSpec, Job, Runtime, RuntimeConfig};
 use pim_workloads::{DnnKind, Kernel, WorkloadSpec};
 use std::collections::HashMap;
 
@@ -69,6 +69,21 @@ fn mixed_jobs() -> Vec<Job> {
         )
         .with_opt(OptLevel::Distribute)
         .named("atax-distribute-only"),
+        // Cluster jobs: 130 rows shard 33/33/32/32, so two lanes are
+        // shared and two are not; MLP's middle pipeline stages are equal.
+        Job::new(
+            WorkloadSpec::MatMul {
+                m: 130,
+                k: 96,
+                n: 64,
+            },
+            PlatformKind::StPim,
+        )
+        .with_cluster(ClusterSpec::data(4).with_batch(3))
+        .named("matmul-130-data4"),
+        Job::new(WorkloadSpec::dnn(DnnKind::Mlp), PlatformKind::StPim)
+            .with_cluster(ClusterSpec::pipeline(4).with_batch(2))
+            .named("mlp-pipeline4"),
     ];
     // A second copy of several jobs, renamed, so shuffled orders still
     // contain cache-colliding pairs far apart.

@@ -61,13 +61,25 @@ fn priced(
         .expect("cluster prices")
 }
 
-/// The grid's workloads: a data-parallel gemm and a pipeline-parallel DNN
-/// (pipeline needs a layer list, so only DNN workloads qualify).
-fn grid() -> [(WorkloadSpec, PartitionStrategy, u32); 2] {
+/// The grid's workloads: data-parallel gemms and a pipeline-parallel DNN
+/// (pipeline needs a layer list, so only DNN workloads qualify). 384 rows
+/// shard evenly at every device count, so all lanes are equal; 130 rows
+/// shard 33/33/32/32 at 4 devices, so equal shards share a lane while
+/// unequal ones do not.
+fn grid() -> [(WorkloadSpec, PartitionStrategy, u32); 3] {
     [
         (
             WorkloadSpec::MatMul {
                 m: 384,
+                k: 96,
+                n: 64,
+            },
+            PartitionStrategy::Data,
+            3,
+        ),
+        (
+            WorkloadSpec::MatMul {
+                m: 130,
                 k: 96,
                 n: 64,
             },
