@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt lint doc build test test-names determinism bench-build trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments loc
+.PHONY: verify fmt lint doc build test test-names determinism bench-build examples trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check experiments loc
 
-verify: fmt lint doc build test test-names determinism bench-build trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
+verify: fmt lint doc build test test-names determinism bench-build examples trace-check bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke perfbench-check
 	@echo "verify: all gates passed"
 
 fmt:
@@ -47,6 +47,17 @@ determinism:
 bench-build:
 	$(CARGO) bench --workspace --no-run
 	$(CARGO) build --release --examples
+
+# The quick examples must run to a zero exit, not only compile. `loadgen`
+# is a long load run, and `trace-check` already runs `trace_dump`.
+EXAMPLES = quickstart bitlevel_demo fault_injection expression_compiler dnn_inference ablation_study polybench_sweep runtime_sweep
+
+examples:
+	$(CARGO) build --release --examples
+	@set -e; for example in $(EXAMPLES); do \
+		echo "examples: $$example"; \
+		$(CARGO) run --release --quiet --example $$example > /dev/null; \
+	done
 
 # Trace export self-validation: `--check` re-parses the written Perfetto
 # JSON and asserts resource coverage, exiting 1 on any violation.

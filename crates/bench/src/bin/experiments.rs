@@ -135,7 +135,7 @@ fn run_one(
             (render::fig4(&data), maybe_json(json, &data)?)
         }
         "fig17" => {
-            let data = figures::fig17(scale)?;
+            let data = figures::fig17(scale, None)?;
             (
                 render::metric_table(
                     "Figure 17 — Speedup over CPU-RM (paper avgs: StPIM 39.1x, StPIM-e 12.7x, \
@@ -147,7 +147,7 @@ fn run_one(
             )
         }
         "fig18" => {
-            let data = figures::fig18(scale)?;
+            let data = figures::fig18(scale, None)?;
             (
                 render::metric_table(
                     "Figure 18 — Energy normalized to StPIM (paper: CPU-DRAM 58.4x, \
@@ -182,15 +182,15 @@ fn run_one(
             )
         }
         "fig21" => {
-            let data = figures::fig21(scale)?;
+            let data = figures::fig21(scale, None)?;
             (render::fig21(&data), maybe_json(json, &data)?)
         }
         "fig22" => {
-            let data = figures::fig22(scale)?;
+            let data = figures::fig22(scale, None)?;
             (render::fig22(&data), maybe_json(json, &data)?)
         }
         "fig23" => {
-            let data = figures::fig23()?;
+            let data = figures::fig23(None)?;
             (render::fig23(&data), maybe_json(json, &data)?)
         }
         "table4" => {
@@ -198,7 +198,7 @@ fn run_one(
             (render::table4(&data), maybe_json(json, &data)?)
         }
         "table5" => {
-            let data = figures::table5(scale)?;
+            let data = figures::table5(scale, None)?;
             (render::table5(&data), maybe_json(json, &data)?)
         }
         "area" => {

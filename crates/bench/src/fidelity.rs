@@ -254,9 +254,9 @@ impl FigureCache {
                 };
                 if slot.is_none() {
                     let table = if figure == "fig17" {
-                        figures::fig17_with(self.scale, engine.as_ref())
+                        figures::fig17(self.scale, engine.as_ref())
                     } else {
-                        figures::fig18_with(self.scale, engine.as_ref())
+                        figures::fig18(self.scale, engine.as_ref())
                     }
                     .map_err(|e| format!("{figure}: {e}"))?;
                     *slot = Some(table);
@@ -275,7 +275,7 @@ impl FigureCache {
             "fig21" => {
                 if self.fig21.is_none() {
                     self.fig21 = Some(
-                        figures::fig21_with(self.scale, engine.as_ref())
+                        figures::fig21(self.scale, engine.as_ref())
                             .map_err(|e| format!("fig21: {e}"))?,
                     );
                 }
@@ -293,7 +293,7 @@ impl FigureCache {
             "fig22" => {
                 if self.fig22.is_none() {
                     self.fig22 = Some(
-                        figures::fig22_with(self.scale, engine.as_ref())
+                        figures::fig22(self.scale, engine.as_ref())
                             .map_err(|e| format!("fig22: {e}"))?,
                     );
                 }
@@ -307,9 +307,8 @@ impl FigureCache {
             }
             "fig23" => {
                 if self.fig23.is_none() {
-                    self.fig23 = Some(
-                        figures::fig23_with(engine.as_ref()).map_err(|e| format!("fig23: {e}"))?,
-                    );
+                    self.fig23 =
+                        Some(figures::fig23(engine.as_ref()).map_err(|e| format!("fig23: {e}"))?);
                 }
                 let (model, platform) = metric
                     .split_once(':')
@@ -325,7 +324,7 @@ impl FigureCache {
             "table5" => {
                 if self.table5.is_none() {
                     self.table5 = Some(
-                        figures::table5_with(self.scale, engine.as_ref())
+                        figures::table5(self.scale, engine.as_ref())
                             .map_err(|e| format!("table5: {e}"))?,
                     );
                 }

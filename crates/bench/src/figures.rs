@@ -213,19 +213,13 @@ fn run_all_platforms(
 
 /// Regenerates Figure 17: per-kernel speedup of every platform over CPU-RM.
 ///
-/// # Errors
-///
-/// Propagates platform configuration/pricing errors.
-pub fn fig17(scale: Scale) -> Result<MetricTable, PimError> {
-    fig17_with(scale, None)
-}
-
-/// [`fig17`] with an optional StreamPIM engine-parameter override.
+/// `engine` optionally overrides the StreamPIM engine parameters (`None`
+/// runs the paper's).
 ///
 /// # Errors
 ///
 /// Propagates platform configuration/pricing errors.
-pub fn fig17_with(scale: Scale, engine: Option<&EngineParams>) -> Result<MetricTable, PimError> {
+pub fn fig17(scale: Scale, engine: Option<&EngineParams>) -> Result<MetricTable, PimError> {
     let all = run_all_platforms(scale, engine)?;
     metric_table(&all, |reports| {
         let base = reports
@@ -241,19 +235,13 @@ pub fn fig17_with(scale: Scale, engine: Option<&EngineParams>) -> Result<MetricT
 /// Regenerates Figure 18: per-kernel energy, normalized to StPIM
 /// (values > 1 mean "consumes x times more energy than StPIM").
 ///
-/// # Errors
-///
-/// Propagates platform configuration/pricing errors.
-pub fn fig18(scale: Scale) -> Result<MetricTable, PimError> {
-    fig18_with(scale, None)
-}
-
-/// [`fig18`] with an optional StreamPIM engine-parameter override.
+/// `engine` optionally overrides the StreamPIM engine parameters (`None`
+/// runs the paper's).
 ///
 /// # Errors
 ///
 /// Propagates platform configuration/pricing errors.
-pub fn fig18_with(scale: Scale, engine: Option<&EngineParams>) -> Result<MetricTable, PimError> {
+pub fn fig18(scale: Scale, engine: Option<&EngineParams>) -> Result<MetricTable, PimError> {
     let all = run_all_platforms(scale, engine)?;
     metric_table(&all, |reports| {
         let stpim = reports
@@ -357,22 +345,13 @@ fn breakdown(
 /// Regenerates Figure 21: average speedup vs the 128-subarray baseline for
 /// 128/256/512/1024 PIM subarrays.
 ///
-/// # Errors
-///
-/// Propagates platform configuration/pricing errors.
-pub fn fig21(scale: Scale) -> Result<Vec<(u32, f64)>, PimError> {
-    fig21_with(scale, None)
-}
-
-/// [`fig21`] with an optional StreamPIM engine-parameter override.
+/// `engine` optionally overrides the StreamPIM engine parameters (`None`
+/// runs the paper's).
 ///
 /// # Errors
 ///
 /// Propagates platform configuration/pricing errors.
-pub fn fig21_with(
-    scale: Scale,
-    engine: Option<&EngineParams>,
-) -> Result<Vec<(u32, f64)>, PimError> {
+pub fn fig21(scale: Scale, engine: Option<&EngineParams>) -> Result<Vec<(u32, f64)>, PimError> {
     let counts = [128u32, 256, 512, 1024];
     // Per-kernel times per count.
     let mut totals: Vec<Vec<f64>> = vec![Vec::new(); counts.len()];
@@ -399,19 +378,13 @@ pub fn fig21_with(
 /// Regenerates Figure 22: average speedup of each optimization level over
 /// `base`.
 ///
-/// # Errors
-///
-/// Propagates platform configuration/pricing errors.
-pub fn fig22(scale: Scale) -> Result<Vec<(&'static str, f64)>, PimError> {
-    fig22_with(scale, None)
-}
-
-/// [`fig22`] with an optional StreamPIM engine-parameter override.
+/// `engine` optionally overrides the StreamPIM engine parameters (`None`
+/// runs the paper's).
 ///
 /// # Errors
 ///
 /// Propagates platform configuration/pricing errors.
-pub fn fig22_with(
+pub fn fig22(
     scale: Scale,
     engine: Option<&EngineParams>,
 ) -> Result<Vec<(&'static str, f64)>, PimError> {
@@ -453,19 +426,13 @@ pub struct Fig23Row {
 
 /// Regenerates Figure 23 (MLP and BERT end-to-end).
 ///
-/// # Errors
-///
-/// Propagates platform configuration/pricing errors.
-pub fn fig23() -> Result<Vec<Fig23Row>, PimError> {
-    fig23_with(None)
-}
-
-/// [`fig23`] with an optional StreamPIM engine-parameter override.
+/// `engine` optionally overrides the StreamPIM engine parameters (`None`
+/// runs the paper's).
 ///
 /// # Errors
 ///
 /// Propagates platform configuration/pricing errors.
-pub fn fig23_with(engine: Option<&EngineParams>) -> Result<Vec<Fig23Row>, PimError> {
+pub fn fig23(engine: Option<&EngineParams>) -> Result<Vec<Fig23Row>, PimError> {
     let platforms = [
         PlatformKind::CpuDram,
         PlatformKind::Coruscant,
@@ -506,22 +473,13 @@ pub struct Table5Row {
 
 /// Regenerates Table V.
 ///
-/// # Errors
-///
-/// Propagates platform configuration/pricing errors.
-pub fn table5(scale: Scale) -> Result<Vec<Table5Row>, PimError> {
-    table5_with(scale, None)
-}
-
-/// [`table5`] with an optional StreamPIM engine-parameter override.
+/// `engine` optionally overrides the StreamPIM engine parameters (`None`
+/// runs the paper's).
 ///
 /// # Errors
 ///
 /// Propagates platform configuration/pricing errors.
-pub fn table5_with(
-    scale: Scale,
-    engine: Option<&EngineParams>,
-) -> Result<Vec<Table5Row>, PimError> {
+pub fn table5(scale: Scale, engine: Option<&EngineParams>) -> Result<Vec<Table5Row>, PimError> {
     let segments = [64u32, 256, 512, 1024];
     let mut time: Vec<Vec<f64>> = vec![Vec::new(); segments.len()];
     let mut energy: Vec<Vec<f64>> = vec![Vec::new(); segments.len()];

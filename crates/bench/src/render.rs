@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn metric_table_renders_average_row() {
-        let t = figures::fig17(Scale(0.05)).unwrap();
+        let t = figures::fig17(Scale(0.05), None).unwrap();
         let text = metric_table("t", "x", &t);
         assert!(text.contains("**average**"));
         assert!(text.contains("StPIM"));

@@ -46,7 +46,7 @@ pub fn trace_kernel(kernel: Kernel, scale: Scale) -> Result<TraceRun, Box<dyn st
         .lower(&device)?;
 
     let sink = Collector::new();
-    EventEngine::new(&cfg).run_instrumented(&schedule, &sink, &NullProbe);
+    EventEngine::new(&cfg)?.run_instrumented(&schedule, &sink, &NullProbe);
     device.execute_instrumented(&schedule, &sink, &NullProbe, None);
 
     let overlap = |opt: OptLevel| -> Result<f64, PimError> {

@@ -19,8 +19,10 @@
 
 use crate::device::{OptLevel, StreamPimConfig};
 use crate::engine::Engine;
+use crate::error::PimError;
 use crate::schedule::Schedule;
 use crate::vpc::Vpc;
+use crate::Result;
 use pim_trace::{Span, TraceSink, Track};
 use std::collections::HashMap;
 
@@ -47,20 +49,22 @@ pub struct ScheduledVpc {
 impl EventEngine {
     /// Builds the reference engine for `cfg`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics for `OptLevel::Distribute` (see module docs).
-    pub fn new(cfg: &StreamPimConfig) -> Self {
-        assert!(
-            cfg.opt != OptLevel::Distribute,
-            "the event engine implements Base and Unblock only"
-        );
-        EventEngine {
+    /// Returns [`PimError::Config`] for `OptLevel::Distribute`, which has no
+    /// operational counterpart (see module docs).
+    pub fn new(cfg: &StreamPimConfig) -> Result<Self> {
+        if cfg.opt == OptLevel::Distribute {
+            return Err(PimError::Config(
+                "the event engine implements Base and Unblock only".into(),
+            ));
+        }
+        Ok(EventEngine {
             analytic: Engine::new(cfg),
             opt: cfg.opt,
             tran_lanes: cfg.device.pim_banks.max(1) as usize,
             controller_ns_per_vpc: cfg.engine.controller_ns_per_vpc,
-        }
+        })
     }
 
     /// Runs `schedule` with explicit timelines, returning the makespan in
@@ -347,7 +351,7 @@ mod tests {
     fn base_matches_analytic_exactly() {
         let cfg = StreamPimConfig::paper_default().with_opt(OptLevel::Base);
         let s = schedule(5, 64, 512);
-        let (event_ns, _) = EventEngine::new(&cfg).run(&s);
+        let (event_ns, _) = EventEngine::new(&cfg).unwrap().run(&s);
         let analytic_ns = Engine::new(&cfg)
             .run(&s, &pim_trace::NullSink, &rm_core::NullProbe, None)
             .total_ns();
@@ -370,7 +374,7 @@ mod tests {
             (20, 32, 300, 0.55),
         ] {
             let s = schedule(rounds, computes, len);
-            let (event_ns, _) = EventEngine::new(&cfg).run(&s);
+            let (event_ns, _) = EventEngine::new(&cfg).unwrap().run(&s);
             let analytic_ns = Engine::new(&cfg)
                 .run(&s, &pim_trace::NullSink, &rm_core::NullProbe, None)
                 .total_ns();
@@ -386,7 +390,7 @@ mod tests {
     fn intervals_respect_resources() {
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(3, 16, 500);
-        let (_, intervals) = EventEngine::new(&cfg).run(&s);
+        let (_, intervals) = EventEngine::new(&cfg).unwrap().run(&s);
         // No two compute intervals on the same subarray overlap.
         let mut per_sub: HashMap<u32, Vec<(f64, f64)>> = HashMap::new();
         for sv in &intervals {
@@ -412,7 +416,7 @@ mod tests {
     fn collects_start_after_their_computes() {
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(2, 8, 400);
-        let (_, intervals) = EventEngine::new(&cfg).run(&s);
+        let (_, intervals) = EventEngine::new(&cfg).unwrap().run(&s);
         let computes: Vec<&ScheduledVpc> =
             intervals.iter().filter(|sv| sv.vpc.is_compute()).collect();
         let collects: Vec<&ScheduledVpc> = intervals
@@ -428,10 +432,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Base and Unblock")]
     fn distribute_rejected() {
         let cfg = StreamPimConfig::paper_default().with_opt(OptLevel::Distribute);
-        let _ = EventEngine::new(&cfg);
+        assert!(matches!(EventEngine::new(&cfg), Err(PimError::Config(_))));
     }
 
     #[test]
@@ -440,8 +443,10 @@ mod tests {
         let s = schedule(3, 16, 500);
         let sink = pim_trace::Collector::new();
         let (traced_ns, intervals) =
-            EventEngine::new(&cfg).run_instrumented(&s, &sink, &rm_core::NullProbe);
-        let (plain_ns, _) = EventEngine::new(&cfg).run(&s);
+            EventEngine::new(&cfg)
+                .unwrap()
+                .run_instrumented(&s, &sink, &rm_core::NullProbe);
+        let (plain_ns, _) = EventEngine::new(&cfg).unwrap().run(&s);
         assert_eq!(traced_ns, plain_ns, "sink must not perturb the makespan");
         let spans = sink.spans();
         // One span per scheduled command plus one decode span per command.
@@ -486,8 +491,10 @@ mod tests {
         let s = schedule(3, 16, 500);
         let probe = MapProbe::default();
         let (profiled_ns, intervals) =
-            EventEngine::new(&cfg).run_instrumented(&s, &pim_trace::NullSink, &probe);
-        let (plain_ns, _) = EventEngine::new(&cfg).run(&s);
+            EventEngine::new(&cfg)
+                .unwrap()
+                .run_instrumented(&s, &pim_trace::NullSink, &probe);
+        let (plain_ns, _) = EventEngine::new(&cfg).unwrap().run(&s);
         assert_eq!(profiled_ns, plain_ns, "probe must not perturb the makespan");
         let map = probe.0.lock().unwrap();
         // One sample per command on its component, one decode per command.
@@ -516,7 +523,9 @@ mod tests {
         let s = schedule(2, 8, 300);
         let sink = pim_trace::NullSink;
         let (ns, intervals) =
-            EventEngine::new(&cfg).run_instrumented(&s, &sink, &rm_core::NullProbe);
+            EventEngine::new(&cfg)
+                .unwrap()
+                .run_instrumented(&s, &sink, &rm_core::NullProbe);
         assert!(ns > 0.0);
         assert!(!intervals.is_empty());
     }

@@ -16,14 +16,19 @@
 //! converted into electronic signals* — is testable here: the whole flow
 //! performs **zero RM read or write operations** after the initial host
 //! load (see the tests).
+//!
+//! The flow is observed through its counters alone:
+//! [`SubarrayFlow::shifts`], [`SubarrayFlow::pim_conversions`] and, per
+//! device, [`DeviceFlowStats`] (shifts, conversions, fault draws and faults
+//! injected). Nothing here takes an attribution probe; component
+//! attribution belongs to the analytic engines.
 
 use crate::device::Parallelism;
 use crate::error::PimError;
 use crate::Result;
 use rm_bus::{Delivery, SegmentedBus};
-use rm_core::{BufferProbe, NullProbe, Probe, ShiftFaultModel, Subarray, WearTracker};
+use rm_core::{ShiftFaultModel, Subarray};
 use rm_proc::{ProcScratch, RmProcessor};
-use std::sync::Arc;
 
 /// Bus segments in the functional in-subarray buses.
 const BUS_SEGMENTS: usize = 8;
@@ -206,44 +211,21 @@ impl SubarrayFlow {
 
     /// Executes a dot product entirely through the PIM path: operand
     /// vectors of `len` elements at `a_row` and `b_row`, 32-bit result
-    /// little-endian at `dst_row`.
+    /// little-endian at `dst_row`. The streams, the operand vectors and the
+    /// processor's planes use the flow's own scratch, so a warm dot
+    /// allocates only for the mat rows: a packed row per operand row
+    /// shifted out, and the packing of the two result rows shifted back in.
     ///
     /// # Errors
     ///
     /// Returns memory errors for bad spans.
     pub fn dot(&mut self, a_row: usize, b_row: usize, len: usize, dst_row: usize) -> Result<u64> {
-        self.dot_probed(a_row, b_row, len, dst_row, &NullProbe, "proc")
-    }
-
-    /// [`SubarrayFlow::dot`] with per-stage attribution recorded on `probe`
-    /// under `{prefix}/duplicator`, `{prefix}/multiplier` and
-    /// `{prefix}/adder_tree` (see [`RmProcessor::dot_probed`]). Result and
-    /// hardware state are identical to the unprobed call. The streams, the
-    /// operand vectors and the processor's planes use the flow's own
-    /// scratch, so a warm dot allocates only for the mat rows: a packed
-    /// row per operand row shifted out, and the packing of the two result
-    /// rows shifted back in.
-    ///
-    /// # Errors
-    ///
-    /// Returns memory errors for bad spans.
-    pub fn dot_probed(
-        &mut self,
-        a_row: usize,
-        b_row: usize,
-        len: usize,
-        dst_row: usize,
-        probe: &dyn Probe,
-        prefix: &str,
-    ) -> Result<u64> {
         let mut s = std::mem::take(&mut self.scratch);
         let result = (|| {
             self.stream_to_processor(a_row, len, &mut s.words, &mut s.deliveries, &mut s.a)?;
             self.stream_to_processor(b_row, len, &mut s.words, &mut s.deliveries, &mut s.b)?;
             // Figure 13 step ③: the RM processor pipeline.
-            let (result, _tally) =
-                self.processor
-                    .dot_probed_with(&s.a, &s.b, probe, prefix, &mut s.proc);
+            let (result, _tally) = self.processor.dot_with(&s.a, &s.b, &mut s.proc);
             self.stream_from_processor(
                 dst_row,
                 &(result as u32).to_le_bytes(),
@@ -284,36 +266,26 @@ const LANE_OPERAND_ROWS: usize = 16;
 struct Lane {
     flow: SubarrayFlow,
     faults: Option<ShiftFaultModel>,
-    /// Purely observational device-health sink: records where shifts and
-    /// fault draws land, never feeds back into the computation or the
-    /// fault RNG stream.
-    health: Option<Arc<WearTracker>>,
 }
 
 impl Lane {
-    /// Records one row's realized shift delta (and the fault draw it fed,
-    /// if a model is attached) into the health tracker. The wire identity
-    /// is the output row: on this reduced geometry each output row is
-    /// backed by a fixed set of nanowires, so per-row wear is the
-    /// per-nanowire wear proxy.
-    fn observe_row(&self, lane_idx: usize, row: usize, shift_delta: u64) {
-        if let Some(health) = &self.health {
-            // Each counted shift on this path is a single-domain step, so
-            // the travelled distance equals the shift count.
-            health.record_activity(lane_idx as u32, shift_delta, shift_delta, 0.0);
-            health.record_wire_shifts(lane_idx as u32, row as u32, shift_delta);
+    /// One dot of the operands loaded at the lane's rows. With a fault
+    /// model attached, the dot's realized shift total feeds one
+    /// deterministic fault draw (an observational reliability overlay: the
+    /// per-lane streams are seeded, so tallies are identical at any worker
+    /// count).
+    fn dot(&mut self, k: usize) -> Result<u64> {
+        let before = self.flow.shifts();
+        let value = self.flow.dot(LANE_A_ROW, LANE_B_ROW, k, LANE_DST_ROW)?;
+        if let Some(fm) = &mut self.faults {
+            fm.sample((self.flow.shifts() - before) as usize);
         }
+        Ok(value)
     }
-}
 
-impl Lane {
     /// Computes every output row assigned to lane `lane_idx` (round-robin
     /// stride `n_lanes`) of `y = A·x`, returning `(row, value)` pairs in row
-    /// order. With a fault model attached, each row's realized shift total
-    /// feeds one deterministic fault draw (an observational reliability
-    /// overlay: the per-lane streams are seeded, so tallies are identical at
-    /// any worker count).
-    #[allow(clippy::too_many_arguments)]
+    /// order.
     fn gemv_rows(
         &mut self,
         a: &[u8],
@@ -322,8 +294,6 @@ impl Lane {
         k: usize,
         lane_idx: usize,
         n_lanes: usize,
-        probe: &dyn Probe,
-        prefix: &str,
     ) -> Result<Vec<(usize, u64)>> {
         self.flow.load_vector(LANE_B_ROW, x)?;
         let mut out = Vec::new();
@@ -331,19 +301,7 @@ impl Lane {
         while row < m {
             self.flow
                 .load_vector(LANE_A_ROW, &a[row * k..(row + 1) * k])?;
-            let before = self.flow.shifts();
-            let value =
-                self.flow
-                    .dot_probed(LANE_A_ROW, LANE_B_ROW, k, LANE_DST_ROW, probe, prefix)?;
-            let shift_delta = self.flow.shifts() - before;
-            if let Some(fm) = &mut self.faults {
-                let outcome = fm.sample(shift_delta as usize);
-                if let Some(health) = &self.health {
-                    health.record_fault(lane_idx as u32, row as u32, outcome);
-                }
-            }
-            self.observe_row(lane_idx, row, shift_delta);
-            out.push((row, value));
+            out.push((row, self.dot(k)?));
             row += n_lanes;
         }
         Ok(out)
@@ -362,8 +320,6 @@ impl Lane {
         n: usize,
         lane_idx: usize,
         n_lanes: usize,
-        probe: &dyn Probe,
-        prefix: &str,
     ) -> Result<Vec<(usize, Vec<u64>)>> {
         let mut out = Vec::new();
         let mut col = vec![0u8; k];
@@ -377,19 +333,7 @@ impl Lane {
                     *byte = b[i * n + j];
                 }
                 self.flow.load_vector(LANE_B_ROW, &col)?;
-                let before = self.flow.shifts();
-                let value =
-                    self.flow
-                        .dot_probed(LANE_A_ROW, LANE_B_ROW, k, LANE_DST_ROW, probe, prefix)?;
-                let shift_delta = self.flow.shifts() - before;
-                if let Some(fm) = &mut self.faults {
-                    let outcome = fm.sample(shift_delta as usize);
-                    if let Some(health) = &self.health {
-                        health.record_fault(lane_idx as u32, row as u32, outcome);
-                    }
-                }
-                self.observe_row(lane_idx, row, shift_delta);
-                values.push(value);
+                values.push(self.dot(k)?);
             }
             out.push((row, values));
             row += n_lanes;
@@ -416,9 +360,9 @@ pub struct DeviceFlowStats {
 /// with output rows distributed round-robin, exactly the hardware
 /// independence boundary the analytic engine shards on. `gemv`/`gemm` run
 /// the lanes on scoped OS threads under a [`Parallelism`] level; each lane
-/// owns disjoint hardware and a seeded fault stream, and results, probe
-/// records and counters are reduced in lane order — so every output is
-/// byte-identical to the serial run at any worker count.
+/// owns disjoint hardware and a seeded fault stream, and results and
+/// counters are reduced in lane order — so every output is byte-identical
+/// to the serial run at any worker count.
 #[derive(Debug, Clone)]
 pub struct DeviceFlow {
     lanes: Vec<Lane>,
@@ -436,7 +380,6 @@ impl DeviceFlow {
                 Ok(Lane {
                     flow: SubarrayFlow::new()?,
                     faults: None,
-                    health: None,
                 })
             })
             .collect::<Result<Vec<_>>>()?;
@@ -449,17 +392,6 @@ impl DeviceFlow {
     pub fn with_fault_model(mut self, p_over: f64, p_under: f64, base_seed: u64) -> Self {
         for (s, lane) in self.lanes.iter_mut().enumerate() {
             lane.faults = Some(ShiftFaultModel::new(p_over, p_under, base_seed ^ s as u64));
-        }
-        self
-    }
-
-    /// Attaches a device-health tracker: every lane records its shift
-    /// activity and fault-draw outcomes (keyed subarray = lane, wire =
-    /// output row) into `tracker`. Observational only — results, counters
-    /// and fault tallies are byte-identical with or without a tracker.
-    pub fn with_health(mut self, tracker: Arc<WearTracker>) -> Self {
-        for lane in self.lanes.iter_mut() {
-            lane.health = Some(Arc::clone(&tracker));
         }
         self
     }
@@ -490,44 +422,16 @@ impl DeviceFlow {
         k: usize,
         parallelism: Parallelism,
     ) -> Result<Vec<u64>> {
-        self.gemv_probed(a, x, m, k, parallelism, &rm_core::NullProbe)
-    }
-
-    /// [`DeviceFlow::gemv`] with per-lane pipeline attribution: lane `s`
-    /// records under `lane{s}/…`, buffered per shard and replayed onto
-    /// `probe` in lane order (identical record sequence at any worker
-    /// count). A disabled `probe` is passed straight to the lanes, so
-    /// nothing is buffered or formatted.
-    ///
-    /// # Errors
-    ///
-    /// See [`DeviceFlow::gemv`].
-    pub fn gemv_probed(
-        &mut self,
-        a: &[u8],
-        x: &[u8],
-        m: usize,
-        k: usize,
-        parallelism: Parallelism,
-        probe: &dyn Probe,
-    ) -> Result<Vec<u64>> {
         self.check_shape(a.len(), m, k, x.len(), k, 1)?;
         let n_lanes = self.lanes.len();
         let workers = parallelism.resolve_here().min(n_lanes);
-        let buffered = if probe.enabled() { n_lanes } else { 0 };
-        let buffers: Vec<BufferProbe> = (0..buffered).map(|_| BufferProbe::new()).collect();
-        let shards =
-            rm_core::run_sharded(&mut self.lanes, workers, |s, lane| match buffers.get(s) {
-                Some(buffer) => lane.gemv_rows(a, x, m, k, s, n_lanes, buffer, &lane_prefix(s)),
-                None => lane.gemv_rows(a, x, m, k, s, n_lanes, &NullProbe, "proc"),
-            });
+        let shards = rm_core::run_sharded(&mut self.lanes, workers, |s, lane| {
+            lane.gemv_rows(a, x, m, k, s, n_lanes)
+        });
         let mut y = vec![0u64; m];
-        for (s, shard) in shards.into_iter().enumerate() {
+        for shard in shards {
             for (row, value) in shard? {
                 y[row] = value;
-            }
-            if let Some(buffer) = buffers.get(s) {
-                buffer.replay(probe);
             }
         }
         Ok(y)
@@ -555,7 +459,7 @@ impl DeviceFlow {
         let n_lanes = self.lanes.len();
         let workers = parallelism.resolve_here().min(n_lanes);
         let shards = rm_core::run_sharded(&mut self.lanes, workers, |s, lane| {
-            lane.gemm_rows(a, b, m, k, n, s, n_lanes, &NullProbe, "proc")
+            lane.gemm_rows(a, b, m, k, n, s, n_lanes)
         });
         let mut c = vec![0u64; m * n];
         for shard in shards {
@@ -603,11 +507,6 @@ impl DeviceFlow {
         }
         Ok(())
     }
-}
-
-/// Probe-path prefix for lane `s`.
-fn lane_prefix(s: usize) -> String {
-    format!("lane{s}")
 }
 
 /// Packs up to 8 row bytes into a bus word.
@@ -768,24 +667,6 @@ mod tests {
             .unwrap();
         assert_eq!(c, c0);
         assert_eq!(threaded.stats(), serial.stats());
-    }
-
-    #[test]
-    fn device_flow_probe_replay_is_lane_ordered() {
-        let (m, k) = (5usize, 3usize);
-        let a = vec![2u8; m * k];
-        let x = vec![3u8; k];
-        let run = |par: Parallelism| {
-            let mut df = DeviceFlow::new(3).unwrap();
-            let target = rm_core::BufferProbe::new();
-            df.gemv_probed(&a, &x, m, k, par, &target).unwrap();
-            target.take()
-        };
-        let serial = run(Parallelism::Serial);
-        assert!(!serial.is_empty(), "probe records flow through");
-        assert!(serial[0].0.starts_with("lane0/"), "lane order");
-        assert_eq!(serial, run(Parallelism::Threads(2)), "2 workers");
-        assert_eq!(serial, run(Parallelism::Threads(16)), "16 workers");
     }
 
     #[test]

@@ -4,23 +4,21 @@
 //! The flow's other tests compare serial runs with sharded runs and with
 //! host products, so a change that moved every lane's shift or fault counts
 //! alike would pass them. Each line here freezes, for one stream on one
-//! device, digests of every output, of `DeviceFlowStats` after every op, of
-//! the ordered `gemv_probed` records and of the `WearTracker` rows, next to
-//! the final stats in plain numbers. Both devices have 8 lanes; the faulted
-//! one carries a seeded shift-fault model and a health tracker.
+//! device, digests of every output and of `DeviceFlowStats` after every
+//! op, next to the final stats in plain numbers. Both devices have 8 lanes;
+//! the faulted one carries a seeded shift-fault model.
 
 use pim_device::flow::{DeviceFlow, DeviceFlowStats};
 use pim_device::Parallelism;
-use rm_core::{BufferProbe, FnvHasher, WearTracker};
+use rm_core::FnvHasher;
 use std::hash::Hasher;
-use std::sync::Arc;
 
 /// One line per stream seed and device.
 const GOLDEN: &[&str] = &[
-    "seed=7 clean stats=25121,0,0,0 outputs=0xf19fdeb95493e6ef per_op=0x8ff39d6305f9700a probe=0x159de326c1206f5c wear=0x0000000000000000",
-    "seed=7 faulted stats=25121,0,150,144 outputs=0xf19fdeb95493e6ef per_op=0xa9b71c73b07e2696 probe=0x159de326c1206f5c wear=0x9fe7ecaa76643027",
-    "seed=2024 clean stats=34661,0,0,0 outputs=0xda2b95ede5fa3cd2 per_op=0x23310943d484822b probe=0x70afd9e99634be36 wear=0x0000000000000000",
-    "seed=2024 faulted stats=34661,0,182,180 outputs=0xda2b95ede5fa3cd2 per_op=0xb08e2f4727ff5a4b probe=0x70afd9e99634be36 wear=0x52325ee0acf88efa",
+    "seed=7 clean stats=25121,0,0,0 outputs=0xf19fdeb95493e6ef per_op=0x8ff39d6305f9700a",
+    "seed=7 faulted stats=25121,0,150,144 outputs=0xf19fdeb95493e6ef per_op=0xa9b71c73b07e2696",
+    "seed=2024 clean stats=34661,0,0,0 outputs=0xda2b95ede5fa3cd2 per_op=0x23310943d484822b",
+    "seed=2024 faulted stats=34661,0,182,180 outputs=0xda2b95ede5fa3cd2 per_op=0xb08e2f4727ff5a4b",
 ];
 
 const LANES: usize = 8;
@@ -103,11 +101,9 @@ fn stats_text(s: &DeviceFlowStats) -> String {
     )
 }
 
-/// Runs `ops` on `flow` and digests everything observable. gemv ops go
-/// through `gemv_probed` into one `BufferProbe`; odd ops run on two worker
-/// threads, which must not change any record.
-fn run(flow: &mut DeviceFlow, ops: &[Op], health: Option<&WearTracker>) -> String {
-    let probe = BufferProbe::new();
+/// Runs `ops` on `flow` and digests everything observable. Odd ops run on
+/// two worker threads, which must not change any output or counter.
+fn run(flow: &mut DeviceFlow, ops: &[Op]) -> String {
     let mut outputs = String::new();
     let mut stats = String::new();
     for (i, op) in ops.iter().enumerate() {
@@ -117,7 +113,7 @@ fn run(flow: &mut DeviceFlow, ops: &[Op], health: Option<&WearTracker>) -> Strin
             Parallelism::Serial
         };
         let out = if op.n == 0 {
-            flow.gemv_probed(&op.a, &op.b, op.m, op.k, par, &probe)
+            flow.gemv(&op.a, &op.b, op.m, op.k, par)
         } else {
             flow.gemm(&op.a, &op.b, op.m, op.k, op.n, par)
         }
@@ -127,21 +123,11 @@ fn run(flow: &mut DeviceFlow, ops: &[Op], health: Option<&WearTracker>) -> Strin
         stats.push_str(&stats_text(&flow.stats()));
         stats.push('\n');
     }
-    let records: String = probe
-        .take()
-        .iter()
-        .map(|(path, sample)| format!("{path} {sample:?}\n"))
-        .collect();
-    let wear = health.map_or(0, |h| {
-        fnv(&format!("{:?}", h.snapshot(WearTracker::MAX_WIRES)))
-    });
     format!(
-        "stats={} outputs=0x{:016x} per_op=0x{:016x} probe=0x{:016x} wear=0x{:016x}",
+        "stats={} outputs=0x{:016x} per_op=0x{:016x}",
         stats_text(&flow.stats()),
         fnv(&outputs),
-        fnv(&stats),
-        fnv(&records),
-        wear
+        fnv(&stats)
     )
 }
 
@@ -151,16 +137,11 @@ fn flow_streams_match_the_frozen_digests() {
     for seed in [7u64, 2024] {
         let ops = stream(seed);
         let mut clean = DeviceFlow::new(LANES).expect("flow builds");
-        actual.push(format!("seed={seed} clean {}", run(&mut clean, &ops, None)));
-        let tracker = Arc::new(WearTracker::new());
+        actual.push(format!("seed={seed} clean {}", run(&mut clean, &ops)));
         let mut faulted = DeviceFlow::new(LANES)
             .expect("flow builds")
-            .with_fault_model(0.01, 0.02, seed ^ 0xFA17)
-            .with_health(Arc::clone(&tracker));
-        actual.push(format!(
-            "seed={seed} faulted {}",
-            run(&mut faulted, &ops, Some(&tracker))
-        ));
+            .with_fault_model(0.01, 0.02, seed ^ 0xFA17);
+        actual.push(format!("seed={seed} faulted {}", run(&mut faulted, &ops)));
     }
     assert_eq!(actual, GOLDEN, "flow:\n{}", actual.join("\n"));
 }

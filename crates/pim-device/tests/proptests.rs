@@ -182,7 +182,7 @@ proptest! {
         let cfg = StreamPimConfig::paper_default().with_opt(opt);
         let s = event_schedule(rounds, computes, len);
         let sink = Collector::new();
-        EventEngine::new(&cfg).run_instrumented(&s, &sink, &rm_core::NullProbe);
+        EventEngine::new(&cfg).unwrap().run_instrumented(&s, &sink, &rm_core::NullProbe);
         let mut per_track: std::collections::HashMap<Track, Vec<(f64, f64)>> =
             std::collections::HashMap::new();
         for sp in sink.spans() {
@@ -216,7 +216,7 @@ proptest! {
         let cfg = StreamPimConfig::paper_default().with_opt(opt);
         let s = event_schedule(rounds, computes, len);
         let sink = Collector::new();
-        let (makespan, _) = EventEngine::new(&cfg).run_instrumented(&s, &sink, &rm_core::NullProbe);
+        let (makespan, _) = EventEngine::new(&cfg).unwrap().run_instrumented(&s, &sink, &rm_core::NullProbe);
         let lanes = cfg.device.pim_banks.max(1) as f64;
         let floor = s.counts().total() as f64 * cfg.engine.controller_ns_per_vpc / lanes;
         let latest = sink

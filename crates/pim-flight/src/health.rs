@@ -78,7 +78,7 @@ mod tests {
         tree.record("device/controller", &ProbeSample::busy(1.0));
         let tracker = WearTracker::new();
         absorb_attribution(&tracker, &tree);
-        let health = tracker.snapshot(4);
+        let health = tracker.snapshot();
         assert_eq!(health.subarrays.len(), 1);
         assert_eq!(health.subarrays[0].subarray, 2);
         assert_eq!(health.subarrays[0].wear.shifts, 11);

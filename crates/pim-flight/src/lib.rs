@@ -7,8 +7,9 @@
 //! * requests that breached their tenant SLO, errored, were cancelled, or
 //!   are latency outliers against a per-(tenant, shape-key) streaming
 //!   reservoir of recent latencies keep their full [`FlightRecord`] —
-//!   per-phase spans, attribution tree, folded-stack profile, cache /
-//!   re-price disposition, and fault tally;
+//!   per-phase spans, attribution tree (whose `total.ops` carries the
+//!   request's shift counters), folded-stack profile, and cache / re-price
+//!   disposition;
 //! * everything else drops to a cheap [`FlightSummary`].
 //!
 //! Retained records live in a bounded ring with **byte-budget eviction**
@@ -36,8 +37,8 @@ pub mod reservoir;
 pub use cluster::{ClusterUtilization, DeviceUtilization};
 pub use health::absorb_attribution;
 pub use record::{
-    FaultTally, FlightCounters, FlightIndex, FlightIndexEntry, FlightRecord, FlightSummary,
-    JobObservation, PhaseSpan, RetainReason,
+    FlightCounters, FlightIndex, FlightIndexEntry, FlightRecord, FlightSummary, JobObservation,
+    PhaseSpan, RetainReason,
 };
 pub use recorder::{FlightConfig, FlightRecorder, FlightTap};
 pub use reservoir::LatencyReservoir;

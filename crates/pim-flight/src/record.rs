@@ -2,7 +2,6 @@
 
 use pim_profile::Profile;
 use pim_runtime::CacheDisposition;
-use rm_core::OpCounters;
 use serde::{Deserialize, Serialize};
 
 /// Why a request's full record was retained.
@@ -27,37 +26,6 @@ impl RetainReason {
             RetainReason::Error => "error",
             RetainReason::Cancelled => "cancelled",
             RetainReason::Outlier => "outlier",
-        }
-    }
-}
-
-/// Shift/fault activity attributed to one request.
-///
-/// On the serving path jobs are priced analytically — no faults are
-/// injected — so `faults_sampled`/`faults_injected` are zero there and the
-/// shift counters (the fault-probability driver) carry the signal.
-/// Functional-flow runs fill all four from `DeviceFlowStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultTally {
-    /// Shift operations the request executed.
-    pub shifts: u64,
-    /// Total shift distance in domain positions (wear proxy).
-    pub shift_distance: u64,
-    /// Fault-model draws taken.
-    pub faults_sampled: u64,
-    /// Faults injected.
-    pub faults_injected: u64,
-}
-
-impl FaultTally {
-    /// Tally for an analytically priced job: shifts from its op counters,
-    /// no stochastic draws.
-    pub fn from_counters(counters: &OpCounters) -> Self {
-        FaultTally {
-            shifts: counters.shifts,
-            shift_distance: counters.shift_distance,
-            faults_sampled: 0,
-            faults_injected: 0,
         }
     }
 }
@@ -127,8 +95,6 @@ pub struct JobObservation {
     pub cancelled: bool,
     /// Cache / re-pricing disposition.
     pub cache: CacheDisposition,
-    /// Fault tally (from the report's op counters on the serving path).
-    pub fault: FaultTally,
 }
 
 /// The full retained record served at `GET /v1/debug/requests/<id>`.
@@ -160,8 +126,6 @@ pub struct FlightRecord {
     pub slo_objective_ns: u64,
     /// Cache / re-pricing disposition.
     pub cache: CacheDisposition,
-    /// Shift/fault activity of the request.
-    pub fault: FaultTally,
     /// The request's timeline (host job span + simulated phase spans).
     pub spans: Vec<PhaseSpan>,
     /// Spans the bounded per-request collector had to drop.

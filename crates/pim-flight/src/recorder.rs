@@ -317,7 +317,6 @@ fn build_record(
         latency_ns: obs.latency_ns,
         slo_objective_ns: obs.slo_objective_ns,
         cache: obs.cache,
-        fault: obs.fault,
         spans,
         trace_dropped,
         attribution,

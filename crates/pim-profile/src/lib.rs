@@ -2,11 +2,12 @@
 //! nanoseconds and picojoules go".
 //!
 //! The write side — the [`rm_core::Probe`] trait — lives in `rm-core` so
-//! every layer of the simulator can emit [`rm_core::ProbeSample`]s without
-//! depending on this crate. Here lives the read side:
+//! the analytic layers (`pim-device`'s engines, `pim-baselines`,
+//! `pim-cluster`) can emit [`rm_core::ProbeSample`]s without depending on
+//! this crate. Here lives the read side:
 //!
 //! * [`AttributionTree`] — accumulates samples per component path
-//!   (`device/subarray[3]`, `bus/lane[0]`, `proc/multiplier`, `host/cpu`),
+//!   (`device/subarray[3]`, `bus/lane[0]`, `device/controller`, `host/cpu`),
 //!   with exact conservation guarantees: the tree's running total performs
 //!   the *same sequence* of additions as the simulator's global
 //!   `OpCounters`/`EnergyBreakdown` accumulators, so enabled profiling is

@@ -164,10 +164,10 @@ pub struct MetricsResponse {
     pub cluster: Vec<pim_flight::DeviceUtilization>,
 }
 
-/// `GET /v1/device/health` response body: the fault heatmap.
+/// `GET /v1/device/health` response body: the wear heatmap.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DeviceHealthResponse {
-    /// Per-subarray wear rows, top-K wire list, and grand totals.
+    /// Per-subarray wear rows and grand totals.
     pub health: DeviceHealth,
 }
 

@@ -232,7 +232,6 @@ fn main() {
         "pim_flight_ring_bytes",
         "pim_flight_overhead_ns_total",
         "pim_device_health_shifts_total",
-        "pim_device_health_faults_injected_total",
     ] {
         if !body.contains(family) {
             fail(&format!("exposition missing {family}"));

@@ -37,7 +37,6 @@ fn get(addr: &str, path: &str) -> Result<String, String> {
 
 /// One character per subarray, shaded by its share of the busiest
 /// subarray's shift count — a `top`-style wear heatmap in a single row.
-/// Subarrays that sampled faults are flagged `!` regardless of load.
 fn heatmap_row(health: &rm_core::DeviceHealth) -> String {
     const SHADES: [char; 6] = ['.', ':', '-', '=', '#', '@'];
     let peak = health
@@ -50,14 +49,7 @@ fn heatmap_row(health: &rm_core::DeviceHealth) -> String {
     health
         .subarrays
         .iter()
-        .map(|s| {
-            if s.wear.faults_injected() > 0 {
-                '!'
-            } else {
-                let bucket = (s.wear.shifts * (SHADES.len() as u64 - 1)).div_ceil(peak);
-                SHADES[bucket as usize]
-            }
-        })
+        .map(|s| SHADES[(s.wear.shifts * (SHADES.len() as u64 - 1)).div_ceil(peak) as usize])
         .collect()
 }
 
@@ -163,12 +155,10 @@ fn frame(addr: &str) -> Result<String, String> {
     let health: DeviceHealthResponse = serde_json::from_str(&get(addr, "/v1/device/health")?)
         .map_err(|e| format!("device health: {e}"))?;
     out.push_str(&format!(
-        "\nhealth    {} subarrays   {} shifts ({} distance)   {} faults sampled / {} injected\n",
+        "\nhealth    {} subarrays   {} shifts ({} distance)\n",
         health.health.subarrays.len(),
         health.health.totals.shifts,
         health.health.totals.shift_distance,
-        health.health.totals.faults_sampled,
-        health.health.totals.faults_injected(),
     ));
     if !health.health.subarrays.is_empty() {
         out.push_str(&format!(

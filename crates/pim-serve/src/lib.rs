@@ -47,7 +47,7 @@
 //! | `GET /v1/events`               | Structured event log (JSON lines)    |
 //! | `GET /v1/debug/requests`       | Flight-recorder index (tail samples) |
 //! | `GET /v1/debug/requests/{id}`  | One retained flight record, full     |
-//! | `GET /v1/device/health`        | Per-subarray wear / fault heatmap    |
+//! | `GET /v1/device/health`        | Per-subarray wear heatmap            |
 //! | `GET /v1/tenants/{t}/usage`    | One tenant's metered totals          |
 //! | `GET /v1/healthz`              | Phase and queue depths               |
 //! | `POST /v1/admin/drain`         | Graceful drain; returns final state  |
@@ -71,8 +71,8 @@ pub use api::{
 };
 pub use http::{client_request, Request, Response};
 pub use meter::{
-    tier_for, tier_for_batched, Consumption, CostTier, Ledger, LedgerSummary, MeterConfig,
-    MeterRecord, MeterState, TenantUsage, TIER_TABLE,
+    tier_for, Consumption, CostTier, Ledger, LedgerSummary, MeterConfig, MeterRecord, MeterState,
+    TenantUsage, TIER_TABLE,
 };
 pub use queue::TenantQueues;
 pub use server::{call, ServeConfig, Server, ThreadPlan, TERMINAL_JOB_BUDGET};

@@ -61,16 +61,11 @@ pub const TIER_TABLE: [(&str, u64, f64); 5] = [
     ("xlarge", 500, f64::INFINITY),
 ];
 
-/// Classifies a workload into its cost tier from shape alone.
-pub fn tier_for(spec: &WorkloadSpec) -> CostTier {
-    tier_for_batched(spec, 1)
-}
-
-/// Classifies a batched workload: a cluster job pricing `batch` identical
-/// items is `batch ×` the FLOPs of one, so the admission estimate scales
-/// with it (the settled bill is reconciled from the actual report either
-/// way).
-pub fn tier_for_batched(spec: &WorkloadSpec, batch: u64) -> CostTier {
+/// Classifies a workload into its cost tier from shape alone. A cluster
+/// job pricing `batch` identical items is `batch ×` the FLOPs of one, so
+/// the admission estimate scales with it (the settled bill is reconciled
+/// from the actual report either way); a single job passes `1`.
+pub fn tier_for(spec: &WorkloadSpec, batch: u64) -> CostTier {
     let flops = spec.profile().flops * batch.max(1) as f64;
     let (name, multiplier, _) = TIER_TABLE
         .iter()
@@ -235,21 +230,9 @@ impl Ledger {
     /// Charges the admission estimate and opens a pending record stamped
     /// with the submitting request's correlation id (empty for direct
     /// admissions). Returns a copy of the record (for the submit
-    /// response).
+    /// response). The tier estimate scales with `batch` (see [`tier_for`]);
+    /// settlement reconciles the actual report either way.
     pub fn admit(
-        &self,
-        job_id: u64,
-        tenant: &str,
-        request_id: &str,
-        spec: &WorkloadSpec,
-    ) -> MeterRecord {
-        self.admit_batched(job_id, tenant, request_id, spec, 1)
-    }
-
-    /// [`Ledger::admit`] for a cluster job pricing `batch` identical items:
-    /// the tier estimate scales with the batch (see [`tier_for_batched`]);
-    /// settlement is unchanged — it reconciles the actual combined report.
-    pub fn admit_batched(
         &self,
         job_id: u64,
         tenant: &str,
@@ -257,7 +240,7 @@ impl Ledger {
         spec: &WorkloadSpec,
         batch: u64,
     ) -> MeterRecord {
-        let tier = tier_for_batched(spec, batch);
+        let tier = tier_for(spec, batch);
         let estimated = tier.multiplier * self.config.base_rate_microcredits;
         let record = MeterRecord {
             job_id,
@@ -504,9 +487,9 @@ mod tests {
     #[test]
     fn tiers_cover_the_workload_range() {
         // A tiny probe lands in tier 1, the full-size BERT model at the top.
-        let probe = tier_for(&WorkloadSpec::MatMul { m: 4, k: 4, n: 4 });
+        let probe = tier_for(&WorkloadSpec::MatMul { m: 4, k: 4, n: 4 }, 1);
         assert_eq!((probe.name.as_str(), probe.multiplier), ("probe", 1));
-        let big = tier_for(&WorkloadSpec::dnn(pim_workloads::DnnKind::Bert));
+        let big = tier_for(&WorkloadSpec::dnn(pim_workloads::DnnKind::Bert), 1);
         assert!(big.multiplier > probe.multiplier);
         // Tier multipliers and ceilings are strictly increasing.
         for pair in TIER_TABLE.windows(2) {
@@ -522,11 +505,10 @@ mod tests {
             k: 128,
             n: 128,
         };
-        let one = tier_for_batched(&spec, 1);
-        assert_eq!(one, tier_for(&spec), "batch 1 is the plain estimate");
+        let one = tier_for(&spec, 1);
         // 128³ gemm is ~4.2 MFLOP (tier `small`); 64 of them cross the
         // 1e8 ceiling into `medium`.
-        let many = tier_for_batched(&spec, 64);
+        let many = tier_for(&spec, 64);
         assert!(
             many.multiplier > one.multiplier,
             "batch raises the estimate: {one:?} vs {many:?}"
@@ -534,7 +516,7 @@ mod tests {
         // Estimates stay monotone in batch size.
         let mut last = 0;
         for batch in [1, 2, 8, 64, 512] {
-            let m = tier_for_batched(&spec, batch).multiplier;
+            let m = tier_for(&spec, batch).multiplier;
             assert!(m >= last);
             last = m;
         }
@@ -544,7 +526,7 @@ mod tests {
     fn admit_settle_reconciles() {
         let ledger = Ledger::new(MeterConfig::default());
         let spec = WorkloadSpec::polybench(Kernel::Gemm, 0.02);
-        let admitted = ledger.admit(1, "alice", "req-00000001", &spec);
+        let admitted = ledger.admit(1, "alice", "req-00000001", &spec, 1);
         assert_eq!(admitted.state, MeterState::Pending);
         assert_eq!(
             admitted.estimated_microcredits,
@@ -569,7 +551,13 @@ mod tests {
     #[test]
     fn failed_jobs_settle_to_zero() {
         let ledger = Ledger::new(MeterConfig::default());
-        ledger.admit(1, "alice", "", &WorkloadSpec::MatMul { m: 4, k: 4, n: 4 });
+        ledger.admit(
+            1,
+            "alice",
+            "",
+            &WorkloadSpec::MatMul { m: 4, k: 4, n: 4 },
+            1,
+        );
         let settled = ledger.settle(1, None);
         assert_eq!(settled.billed_microcredits, 0);
         assert_eq!(settled.actual, Consumption::default());
@@ -580,7 +568,7 @@ mod tests {
     fn cancel_refunds_the_estimate_once() {
         let ledger = Ledger::new(MeterConfig::default());
         let spec = WorkloadSpec::polybench(Kernel::Gemm, 0.02);
-        ledger.admit(1, "alice", "req-00000001", &spec);
+        ledger.admit(1, "alice", "req-00000001", &spec, 1);
         let before = ledger.usage("alice").unwrap().estimated_microcredits;
         assert!(before > 0);
         assert!(ledger.cancel(1), "pending jobs cancel");
@@ -589,7 +577,7 @@ mod tests {
         assert_eq!(usage.estimated_microcredits, 0);
         assert_eq!(usage.jobs_cancelled, 1);
         // A settled job cannot be cancelled.
-        ledger.admit(2, "alice", "", &spec);
+        ledger.admit(2, "alice", "", &spec, 1);
         ledger.settle(2, Some(&report(10.0, 10.0)));
         assert!(!ledger.cancel(2));
     }
@@ -599,7 +587,7 @@ mod tests {
         let ledger = Ledger::new(MeterConfig::default());
         let spec = WorkloadSpec::polybench(Kernel::Gemm, 0.02);
         for id in 1..=3 {
-            ledger.admit(id, "alice", "", &spec);
+            ledger.admit(id, "alice", "", &spec, 1);
         }
         ledger.settle(1, Some(&report(10.0, 10.0)));
         assert!(ledger.cancel(2));
@@ -615,7 +603,7 @@ mod tests {
     #[test]
     fn tiny_jobs_are_never_free() {
         let ledger = Ledger::new(MeterConfig::default());
-        ledger.admit(1, "a", "", &WorkloadSpec::MatMul { m: 2, k: 2, n: 2 });
+        ledger.admit(1, "a", "", &WorkloadSpec::MatMul { m: 2, k: 2, n: 2 }, 1);
         let settled = ledger.settle(1, Some(&report(0.4, 0.2)));
         assert_eq!(
             settled.billed_microcredits,
@@ -628,8 +616,8 @@ mod tests {
     fn summary_partitions_by_tenant() {
         let ledger = Ledger::new(MeterConfig::default());
         let spec = WorkloadSpec::polybench(Kernel::Gemm, 0.02);
-        ledger.admit(1, "bob", "", &spec);
-        ledger.admit(2, "alice", "", &spec);
+        ledger.admit(1, "bob", "", &spec, 1);
+        ledger.admit(2, "alice", "", &spec, 1);
         ledger.settle(1, Some(&report(100.0, 100.0)));
         ledger.settle(2, Some(&report(200.0, 50.0)));
         let summary = ledger.summary();

@@ -38,7 +38,7 @@ use crate::http::{client_request, read_request, ParseError, Request, Response};
 use crate::meter::{Ledger, MeterConfig};
 use crate::queue::TenantQueues;
 use pim_device::Parallelism;
-use pim_flight::{FaultTally, FlightConfig, FlightRecorder, JobObservation};
+use pim_flight::{FlightConfig, FlightRecorder, JobObservation};
 use pim_obs::{
     prom, Counter, EventLog, EventLogConfig, Histo, Level, Registry, RequestIdSource, SloConfig,
     SloTracker,
@@ -62,9 +62,6 @@ const EVENTS_DEFAULT_LIMIT: usize = 256;
 /// How many summaries `GET /v1/debug/requests` lists alongside the
 /// retained index.
 const DEBUG_RECENT_LIMIT: usize = 32;
-
-/// Top-K nanowire rows in the `GET /v1/device/health` heatmap.
-const HEALTH_TOP_WIRES: usize = 16;
 
 /// Finished job records (completed, failed, cancelled) the job table keeps;
 /// past it the oldest is evicted, and its id answers 410 Gone. Queued and
@@ -483,12 +480,6 @@ impl Core {
             // client that polls "Completed" always sees a settled record.
             self.ledger.settle(job_id, outcome.report.as_ref().ok());
 
-            let fault = outcome
-                .report
-                .as_ref()
-                .ok()
-                .map(|r| FaultTally::from_counters(&r.counters))
-                .unwrap_or_default();
             let error = outcome.report.as_ref().err().cloned();
             // Serialized before taking the core lock, which every HTTP
             // worker contends for.
@@ -539,7 +530,6 @@ impl Core {
                     error,
                     cancelled: false,
                     cache,
-                    fault,
                 },
                 tap,
             );
@@ -619,7 +609,7 @@ impl Core {
         let batch = job.cluster.map_or(1, |c| u64::from(c.batch));
         let meter = self
             .ledger
-            .admit_batched(job_id, &tenant, request_id, &job.workload, batch);
+            .admit(job_id, &tenant, request_id, &job.workload, batch);
         state.jobs.insert(
             job_id,
             JobRecord {
@@ -852,11 +842,10 @@ impl Core {
         }
     }
 
-    /// `GET /v1/device/health`: the per-subarray fault/wear heatmap plus
-    /// the top-K most-shifted nanowires.
+    /// `GET /v1/device/health`: the per-subarray wear heatmap.
     fn device_health(&self) -> Response {
         let body = DeviceHealthResponse {
-            health: self.health.snapshot(HEALTH_TOP_WIRES),
+            health: self.health.snapshot(),
         };
         Response::json(200, serde_json::to_string(&body).expect("serializes"))
     }
@@ -993,7 +982,7 @@ impl Core {
                 &[],
             )
             .set(flight.overhead_ns as i64);
-        let health = self.health.snapshot(0);
+        let health = self.health.snapshot();
         self.obs
             .registry
             .gauge(
@@ -1002,14 +991,6 @@ impl Core {
                 &[],
             )
             .set(health.totals.shifts as i64);
-        self.obs
-            .registry
-            .gauge(
-                "pim_device_health_faults_injected_total",
-                "Shift faults injected across all subarrays (functional fault-injection runs).",
-                &[],
-            )
-            .set(health.totals.faults_injected() as i64);
         for row in self.cluster_util.snapshot() {
             let device = row.device.to_string();
             self.obs

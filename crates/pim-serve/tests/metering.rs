@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 /// The up-front price of a spec, in microcredits at the default base rate.
 fn estimate(spec: &WorkloadSpec) -> u64 {
-    tier_for(spec).multiplier * MeterConfig::default().base_rate_microcredits
+    tier_for(spec, 1).multiplier * MeterConfig::default().base_rate_microcredits
 }
 
 proptest! {
@@ -79,7 +79,7 @@ proptest! {
                 kernels[*kernel_idx],
                 0.01 * f64::from(*scale_steps),
             );
-            ledger.admit(job_id, tenant, "", &spec);
+            ledger.admit(job_id, tenant, "", &spec, 1);
             if cancel_mask & (1 << job_id) != 0 {
                 // Cancelled before dispatch: never reaches the runtime.
                 prop_assert!(ledger.cancel(job_id));

@@ -63,12 +63,12 @@ pub use hash::{fnv_digest, FnvHasher};
 pub use magnet::Magnetization;
 pub use mat::Mat;
 pub use nanowire::{Nanowire, ShiftDir};
-pub use probe::{NullProbe, Probe, ProbeAttachment, ProbeSample};
+pub use probe::{NullProbe, Probe, ProbeSample};
 pub use shard::{run_sharded, BufferProbe};
 pub use stats::{OpCounters, TimeBreakdown};
 pub use subarray::Subarray;
 pub use timing::TimingParams;
-pub use wear::{DeviceHealth, SubarrayHealth, SubarrayWear, WearTracker, WireWear};
+pub use wear::{DeviceHealth, SubarrayHealth, SubarrayWear, WearTracker};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, RmError>;

@@ -25,7 +25,6 @@
 use crate::bits::PackedBits;
 use crate::error::RmError;
 use crate::nanowire::ShiftDir;
-use crate::probe::{ProbeAttachment, ProbeSample};
 use crate::stats::OpCounters;
 use crate::Result;
 
@@ -94,7 +93,6 @@ pub struct Mat {
     domains_per_track: usize,
     ports: Vec<usize>,
     counters: OpCounters,
-    probe: Option<ProbeAttachment>,
 }
 
 impl Mat {
@@ -130,25 +128,6 @@ impl Mat {
             domains_per_track,
             ports,
             counters: OpCounters::default(),
-            probe: None,
-        }
-    }
-
-    /// Attaches an attribution probe: every counter increment is mirrored as
-    /// a [`ProbeSample`] under the attachment's path. The unattached hot path
-    /// pays a single `Option` discriminant check per operation.
-    pub fn attach_probe(&mut self, attachment: ProbeAttachment) {
-        self.probe = Some(attachment);
-    }
-
-    /// Emits an op-counter delta to the attached probe, constructing the
-    /// delta only when a probe is attached and enabled.
-    #[inline]
-    fn probe_ops(&self, make: impl FnOnce() -> OpCounters) {
-        if let Some(p) = &self.probe {
-            if p.enabled() {
-                p.record(ProbeSample::ops(make()));
-            }
         }
     }
 
@@ -233,11 +212,6 @@ impl Mat {
             }
             self.counters.shifts += dist as u64;
             self.counters.shift_distance += dist as u64;
-            self.probe_ops(|| OpCounters {
-                shifts: dist as u64,
-                shift_distance: dist as u64,
-                ..OpCounters::default()
-            });
         }
         Ok(dist)
     }
@@ -272,10 +246,6 @@ impl Mat {
         }
         self.align_row(row)?;
         self.counters.reads += 1;
-        self.probe_ops(|| OpCounters {
-            reads: 1,
-            ..OpCounters::default()
-        });
         self.save.planes[row].write_bytes_lsb(buf);
         Ok(())
     }
@@ -295,10 +265,6 @@ impl Mat {
         }
         self.align_row(row)?;
         self.counters.writes += 1;
-        self.probe_ops(|| OpCounters {
-            writes: 1,
-            ..OpCounters::default()
-        });
         self.save.planes[row] = PackedBits::from_bytes_lsb(data, self.save.tracks);
         Ok(())
     }
@@ -321,11 +287,6 @@ impl Mat {
         self.check_row(row)?;
         self.counters.shifts += 1;
         self.counters.shift_distance += 1;
-        self.probe_ops(|| OpCounters {
-            shifts: 1,
-            shift_distance: 1,
-            ..OpCounters::default()
-        });
         // Each transfer track mirrors the corresponding save track; the
         // common prefix moves as whole words.
         let direct = self.save.tracks.min(self.transfer.tracks);
@@ -371,11 +332,6 @@ impl Mat {
         self.check_row(row)?;
         self.counters.shifts += 1;
         self.counters.shift_distance += 1;
-        self.probe_ops(|| OpCounters {
-            shifts: 1,
-            shift_distance: 1,
-            ..OpCounters::default()
-        });
         let tracks = self.save.tracks;
         if self.transfer.tracks >= tracks {
             // The whole row lives on plane `row` of the transfer tracks:
@@ -423,11 +379,6 @@ impl Mat {
         self.check_row(row)?;
         self.counters.shifts += 1;
         self.counters.shift_distance += 1;
-        self.probe_ops(|| OpCounters {
-            shifts: 1,
-            shift_distance: 1,
-            ..OpCounters::default()
-        });
         let empty = PackedBits::new(self.save.tracks);
         Ok(std::mem::replace(&mut self.save.planes[row], empty))
     }
@@ -448,11 +399,6 @@ impl Mat {
         self.check_row(row)?;
         self.counters.shifts += 1;
         self.counters.shift_distance += 1;
-        self.probe_ops(|| OpCounters {
-            shifts: 1,
-            shift_distance: 1,
-            ..OpCounters::default()
-        });
         self.save.planes[row] = PackedBits::from_bytes_lsb(data, self.save.tracks);
         Ok(())
     }
@@ -473,11 +419,6 @@ impl Mat {
         self.check_row(row)?;
         self.counters.shifts += 1;
         self.counters.shift_distance += 1;
-        self.probe_ops(|| OpCounters {
-            shifts: 1,
-            shift_distance: 1,
-            ..OpCounters::default()
-        });
         self.save.planes[row] = data.clone();
         Ok(())
     }
@@ -614,40 +555,6 @@ mod tests {
         assert_eq!(buf.to_vec(), m.read_row(20).unwrap());
         let mut bad = [0u8; 3];
         assert!(m.read_row_into(20, &mut bad).is_err());
-    }
-
-    #[test]
-    fn attached_probe_mirrors_counter_deltas_exactly() {
-        use crate::probe::{Probe, ProbeAttachment, ProbeSample};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Debug, Default)]
-        struct SumProbe {
-            total: Mutex<OpCounters>,
-        }
-        impl Probe for SumProbe {
-            fn enabled(&self) -> bool {
-                true
-            }
-            fn record(&self, _path: &str, sample: ProbeSample) {
-                *self.total.lock().unwrap() += sample.ops;
-            }
-        }
-
-        let probe = Arc::new(SumProbe::default());
-        let mut m = mat();
-        m.attach_probe(ProbeAttachment::new(
-            probe.clone() as Arc<dyn Probe>,
-            "device/subarray[0]/mat[0]",
-        ));
-        m.write_row(3, &[0x11, 0x22]).unwrap();
-        m.read_row(3).unwrap();
-        m.read_row(40).unwrap();
-        m.copy_row_to_transfer(3).unwrap();
-        m.shift_out_transfer_row(3).unwrap();
-        m.shift_out_save_row(3).unwrap();
-        m.shift_in_row(7, &[0x01, 0x02]).unwrap();
-        assert_eq!(*probe.total.lock().unwrap(), m.counters());
     }
 
     #[test]

@@ -2,23 +2,22 @@
 //!
 //! A [`Probe`] is the write side of a profiler: simulation components call
 //! [`Probe::record`] with a component *path* (a `/`-separated hierarchy such
-//! as `device/subarray[3]/mat[0]` or `proc/multiplier`) and a
-//! [`ProbeSample`] carrying the operation counters, energy, and busy time
-//! attributable to that component. The read side — the attribution tree,
+//! as `device/subarray[3]` or `bus/lane[0]`) and a [`ProbeSample`] carrying
+//! the operation counters, energy, and busy time attributable to that
+//! component. The read side — the attribution tree,
 //! exports, and diffing — lives in the `pim-profile` crate; this module only
-//! defines the interface so every layer of the stack (`rm-core`, `rm-bus`,
-//! `rm-proc`, `pim-device`, `pim-baselines`) can emit samples without
-//! depending on the profiler.
+//! defines the interface so the analytic layers (`pim-device`'s engines,
+//! `pim-baselines`, `pim-cluster`) can emit samples without depending on the
+//! profiler. The bit-level substrate below them emits nothing: its mats,
+//! processors and flows are observed through their [`OpCounters`].
 //!
 //! Mirrors the `pim-trace::TraceSink` pattern: [`NullProbe`] reports
 //! `enabled() == false` and every emission site is gated on `enabled()`, so
-//! a disabled probe costs one virtual call (or nothing at all on the hot
-//! paths that hold an `Option<ProbeAttachment>`).
+//! a disabled probe costs one virtual call.
 
 use crate::energy::EnergyBreakdown;
 use crate::stats::OpCounters;
 use std::fmt::Debug;
-use std::sync::Arc;
 
 /// One attribution sample: the deltas a component wants charged to itself.
 ///
@@ -92,103 +91,15 @@ impl Probe for NullProbe {
     fn record(&self, _path: &str, _sample: ProbeSample) {}
 }
 
-/// A probe handle plus the component path it reports under.
-///
-/// Functional-model components that own their counters (e.g. [`crate::Mat`])
-/// hold an `Option<ProbeAttachment>` so the unattached hot path stays a
-/// single `None` check.
-#[derive(Debug, Clone)]
-pub struct ProbeAttachment {
-    probe: Arc<dyn Probe>,
-    path: String,
-}
-
-impl ProbeAttachment {
-    /// Attaches `probe` under `path`.
-    pub fn new(probe: Arc<dyn Probe>, path: impl Into<String>) -> Self {
-        ProbeAttachment {
-            probe,
-            path: path.into(),
-        }
-    }
-
-    /// The component path this attachment reports under.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Whether the underlying probe keeps samples.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.probe.enabled()
-    }
-
-    /// Records `sample` under this attachment's path (if enabled).
-    #[inline]
-    pub fn record(&self, sample: ProbeSample) {
-        if self.probe.enabled() {
-            self.probe.record(&self.path, sample);
-        }
-    }
-
-    /// An attachment for the child component `segment` (path-joined).
-    pub fn child(&self, segment: &str) -> ProbeAttachment {
-        ProbeAttachment {
-            probe: Arc::clone(&self.probe),
-            path: format!("{}/{}", self.path, segment),
-        }
-    }
-
-    /// The shared probe handle.
-    pub fn probe(&self) -> &Arc<dyn Probe> {
-        &self.probe
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    #[derive(Debug, Default)]
-    struct VecProbe {
-        records: Mutex<Vec<(String, ProbeSample)>>,
-    }
-
-    impl Probe for VecProbe {
-        fn enabled(&self) -> bool {
-            true
-        }
-
-        fn record(&self, path: &str, sample: ProbeSample) {
-            self.records.lock().unwrap().push((path.into(), sample));
-        }
-    }
 
     #[test]
     fn null_probe_is_disabled() {
         let p = NullProbe;
         assert!(!p.enabled());
         p.record("device", ProbeSample::busy(1.0));
-    }
-
-    #[test]
-    fn attachment_records_under_its_path() {
-        let probe = Arc::new(VecProbe::default());
-        let att = ProbeAttachment::new(probe.clone() as Arc<dyn Probe>, "device/subarray[0]");
-        att.record(ProbeSample::busy(2.5));
-        let child = att.child("mat[3]");
-        assert_eq!(child.path(), "device/subarray[0]/mat[3]");
-        child.record(ProbeSample::ops(OpCounters {
-            reads: 1,
-            ..Default::default()
-        }));
-        let recs = probe.records.lock().unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].0, "device/subarray[0]");
-        assert_eq!(recs[0].1.busy_ns, 2.5);
-        assert_eq!(recs[1].0, "device/subarray[0]/mat[3]");
-        assert_eq!(recs[1].1.ops.reads, 1);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! one device lane's workload of a cluster) and the results come back in
 //! shard order, index-aligned with the input.
 //!
-//! [`BufferProbe`] complements it for probe fan-in: each shard records
-//! into its own buffer, and the buffers are replayed into the real probe in
-//! shard order afterwards, preserving the exact serial emission sequence.
+//! [`BufferProbe`] complements it for probe fan-in across a cluster's
+//! device lanes: each shard records into its own buffer, and the buffers
+//! are replayed into the real probe in shard order afterwards, preserving
+//! the exact serial emission sequence.
 
 use crate::probe::{Probe, ProbeSample};
 use std::sync::Mutex;

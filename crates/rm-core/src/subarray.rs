@@ -247,17 +247,6 @@ impl Subarray {
         self.mats.iter().map(|m| m.counters()).sum()
     }
 
-    /// Attaches an attribution probe to every mat, under
-    /// `{prefix}/mat[i]` paths (see [`Mat::attach_probe`]).
-    pub fn attach_probe(&mut self, probe: &std::sync::Arc<dyn crate::probe::Probe>, prefix: &str) {
-        for (i, m) in self.mats.iter_mut().enumerate() {
-            m.attach_probe(crate::probe::ProbeAttachment::new(
-                std::sync::Arc::clone(probe),
-                format!("{prefix}/mat[{i}]"),
-            ));
-        }
-    }
-
     /// Resets counters on every mat and the row-buffer statistics.
     pub fn reset_counters(&mut self) {
         for m in &mut self.mats {

@@ -1,35 +1,25 @@
-//! Device-health accounting: per-subarray (and per-nanowire) shift, wear
-//! and fault tallies.
+//! Device-health accounting: per-subarray shift and wear tallies.
 //!
-//! Racetrack reliability work (PIRM, DOWNSHIFT) treats shift faults as an
-//! *operational* concern: what matters is not only how many faults a run
-//! injected, but **where** they landed — a handful of hot nanowires absorb
-//! most of the shift current and therefore most of the wear and fault
-//! probability. [`WearTracker`] is the aggregation point for that signal.
-//! It is deliberately host-side-only bookkeeping: recording into a tracker
-//! never feeds back into a simulation, so simulated reports stay
-//! byte-identical whether or not a tracker is attached.
+//! Racetrack reliability work (PIRM, DOWNSHIFT) treats shift wear as an
+//! *operational* concern: what matters is not only how much a run shifted,
+//! but **where** — a handful of hot subarrays absorb most of the shift
+//! current and therefore most of the wear and fault probability.
+//! [`WearTracker`] is the aggregation point for that signal. It is
+//! deliberately host-side-only bookkeeping: recording into a tracker never
+//! feeds back into a simulation, so simulated reports stay byte-identical
+//! whether or not a tracker is attached.
 //!
-//! Two feeders exist:
-//!
-//! * functional-flow runs (fault injection) record per-lane shift activity
-//!   and every sampled [`FaultOutcome`] as they happen;
-//! * the serving path folds each finished job's attribution tree
-//!   (`device/subarray[s]` node stats) into the tracker after the job
-//!   completes.
-//!
-//! The per-wire map is bounded: at most [`WearTracker::MAX_WIRES`] distinct
-//! (subarray, wire) cells are kept exactly; activity on further wires is
-//! still counted in the owning subarray but the wire identity is dropped
-//! (and tallied in [`DeviceHealth::wires_dropped`]), so the tracker's
-//! memory is O(subarrays + MAX_WIRES) regardless of run length.
+//! It has one feeder: the serving path folds each finished job's
+//! attribution tree (`device/subarray[s]` node stats) into the tracker
+//! after the job completes. Its memory is O(subarrays) regardless of run
+//! length. The bit-level flow's fault draws are counted in its own
+//! statistics (`pim_device::DeviceFlowStats`), not here.
 
-use crate::fault::FaultOutcome;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// Accumulated activity and fault history of one subarray.
+/// Accumulated activity of one subarray.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SubarrayWear {
     /// Shift operations issued against this subarray.
@@ -37,37 +27,11 @@ pub struct SubarrayWear {
     /// Total shift distance in domain positions (the wear proxy: each
     /// position moved is one current pulse through the wire).
     pub shift_distance: u64,
-    /// Fault-model draws taken on this subarray.
-    pub faults_sampled: u64,
-    /// Over-shift outcomes injected.
-    pub over_shifts: u64,
-    /// Under-shift outcomes injected.
-    pub under_shifts: u64,
     /// Simulated busy time attributed to this subarray, nanoseconds.
     pub busy_ns: f64,
 }
 
-impl SubarrayWear {
-    /// Total faults injected (over + under).
-    pub fn faults_injected(&self) -> u64 {
-        self.over_shifts + self.under_shifts
-    }
-}
-
-/// Accumulated activity of one nanowire within a subarray.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct WireWear {
-    /// Owning subarray index.
-    pub subarray: u32,
-    /// Wire index within the subarray (functional-flow output row).
-    pub wire: u32,
-    /// Shift operations that moved this wire.
-    pub shifts: u64,
-    /// Faults injected on this wire.
-    pub faults: u64,
-}
-
-/// One row of the fault heatmap served at `GET /v1/device/health`.
+/// One row of the wear heatmap served at `GET /v1/device/health`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SubarrayHealth {
     /// Subarray index.
@@ -76,119 +40,55 @@ pub struct SubarrayHealth {
     pub wear: SubarrayWear,
 }
 
-/// Point-in-time snapshot of device health: the fault heatmap plus the
-/// top-K most-worn nanowires.
+/// Point-in-time snapshot of device health: the per-subarray wear heatmap.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DeviceHealth {
     /// Per-subarray rows, sorted by subarray index (stable heatmap order).
     pub subarrays: Vec<SubarrayHealth>,
-    /// Top-K nanowires by shift count, descending (ties broken by
-    /// (subarray, wire) ascending so the snapshot is deterministic).
-    pub top_wires: Vec<WireWear>,
-    /// Distinct (subarray, wire) cells whose identity was dropped because
-    /// the bounded wire map was full; their activity still counts in the
-    /// owning subarray row.
-    pub wires_dropped: u64,
     /// Grand totals across all subarrays.
     pub totals: SubarrayWear,
 }
 
-#[derive(Default)]
-struct WearState {
-    subarrays: HashMap<u32, SubarrayWear>,
-    wires: HashMap<(u32, u32), WireWear>,
-    wires_dropped: u64,
-}
-
 /// Thread-safe device-health accumulator. See the module docs for the
-/// determinism contract and feeding sites.
+/// determinism contract and its feeder.
 #[derive(Default)]
 pub struct WearTracker {
-    state: Mutex<WearState>,
+    subarrays: Mutex<HashMap<u32, SubarrayWear>>,
 }
 
 impl std::fmt::Debug for WearTracker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock().unwrap();
         f.debug_struct("WearTracker")
-            .field("subarrays", &state.subarrays.len())
-            .field("wires", &state.wires.len())
+            .field("subarrays", &self.subarrays.lock().unwrap().len())
             .finish()
     }
 }
 
 impl WearTracker {
-    /// Bound on distinct (subarray, wire) cells tracked exactly.
-    pub const MAX_WIRES: usize = 1024;
-
     /// Creates an empty tracker.
     pub fn new() -> Self {
         WearTracker::default()
     }
 
-    /// Records shift activity attributed to `subarray` (serving path:
-    /// folded from a job's attribution tree; flow path: per-lane deltas).
+    /// Records shift activity attributed to `subarray` (folded from a
+    /// job's attribution tree).
     pub fn record_activity(&self, subarray: u32, shifts: u64, shift_distance: u64, busy_ns: f64) {
         if shifts == 0 && shift_distance == 0 && busy_ns == 0.0 {
             return;
         }
-        let mut state = self.state.lock().unwrap();
-        let wear = state.subarrays.entry(subarray).or_default();
+        let mut subarrays = self.subarrays.lock().unwrap();
+        let wear = subarrays.entry(subarray).or_default();
         wear.shifts += shifts;
         wear.shift_distance += shift_distance;
         wear.busy_ns += busy_ns;
     }
 
-    /// Records one fault-model draw on `wire` of `subarray`.
-    pub fn record_fault(&self, subarray: u32, wire: u32, outcome: FaultOutcome) {
-        let mut state = self.state.lock().unwrap();
-        let wear = state.subarrays.entry(subarray).or_default();
-        wear.faults_sampled += 1;
-        match outcome {
-            FaultOutcome::Correct => {}
-            FaultOutcome::OverShift => wear.over_shifts += 1,
-            FaultOutcome::UnderShift => wear.under_shifts += 1,
-        }
-        Self::touch_wire(&mut state, subarray, wire, 0, u64::from(outcome.is_fault()));
-    }
-
-    /// Records shift operations that moved `wire` of `subarray` (in
-    /// addition to the per-subarray tally from [`record_activity`]).
-    ///
-    /// [`record_activity`]: WearTracker::record_activity
-    pub fn record_wire_shifts(&self, subarray: u32, wire: u32, shifts: u64) {
-        if shifts == 0 {
-            return;
-        }
-        let mut state = self.state.lock().unwrap();
-        Self::touch_wire(&mut state, subarray, wire, shifts, 0);
-    }
-
-    fn touch_wire(state: &mut WearState, subarray: u32, wire: u32, shifts: u64, faults: u64) {
-        let key = (subarray, wire);
-        if let Some(w) = state.wires.get_mut(&key) {
-            w.shifts += shifts;
-            w.faults += faults;
-        } else if state.wires.len() < Self::MAX_WIRES {
-            state.wires.insert(
-                key,
-                WireWear {
-                    subarray,
-                    wire,
-                    shifts,
-                    faults,
-                },
-            );
-        } else {
-            state.wires_dropped += 1;
-        }
-    }
-
-    /// Snapshot of the heatmap. `top_k` bounds the wire list.
-    pub fn snapshot(&self, top_k: usize) -> DeviceHealth {
-        let state = self.state.lock().unwrap();
-        let mut subarrays: Vec<SubarrayHealth> = state
+    /// Snapshot of the heatmap.
+    pub fn snapshot(&self) -> DeviceHealth {
+        let mut subarrays: Vec<SubarrayHealth> = self
             .subarrays
+            .lock()
+            .unwrap()
             .iter()
             .map(|(&subarray, &wear)| SubarrayHealth { subarray, wear })
             .collect();
@@ -197,25 +97,9 @@ impl WearTracker {
         for row in &subarrays {
             totals.shifts += row.wear.shifts;
             totals.shift_distance += row.wear.shift_distance;
-            totals.faults_sampled += row.wear.faults_sampled;
-            totals.over_shifts += row.wear.over_shifts;
-            totals.under_shifts += row.wear.under_shifts;
             totals.busy_ns += row.wear.busy_ns;
         }
-        let mut top_wires: Vec<WireWear> = state.wires.values().copied().collect();
-        top_wires.sort_by(|a, b| {
-            b.shifts
-                .cmp(&a.shifts)
-                .then_with(|| b.faults.cmp(&a.faults))
-                .then_with(|| (a.subarray, a.wire).cmp(&(b.subarray, b.wire)))
-        });
-        top_wires.truncate(top_k);
-        DeviceHealth {
-            subarrays,
-            top_wires,
-            wires_dropped: state.wires_dropped,
-            totals,
-        }
+        DeviceHealth { subarrays, totals }
     }
 }
 
@@ -228,51 +112,13 @@ mod tests {
         let tracker = WearTracker::new();
         tracker.record_activity(3, 10, 40, 1.5);
         tracker.record_activity(3, 5, 20, 0.5);
-        tracker.record_fault(3, 7, FaultOutcome::OverShift);
-        tracker.record_fault(3, 7, FaultOutcome::Correct);
-        tracker.record_fault(3, 9, FaultOutcome::UnderShift);
-        let health = tracker.snapshot(8);
+        let health = tracker.snapshot();
         assert_eq!(health.subarrays.len(), 1);
         let row = &health.subarrays[0];
         assert_eq!(row.subarray, 3);
         assert_eq!(row.wear.shifts, 15);
         assert_eq!(row.wear.shift_distance, 60);
-        assert_eq!(row.wear.faults_sampled, 3);
-        assert_eq!(row.wear.over_shifts, 1);
-        assert_eq!(row.wear.under_shifts, 1);
-        assert_eq!(row.wear.faults_injected(), 2);
         assert_eq!(health.totals.shifts, 15);
-    }
-
-    #[test]
-    fn top_wires_sorted_and_bounded() {
-        let tracker = WearTracker::new();
-        tracker.record_wire_shifts(0, 1, 5);
-        tracker.record_wire_shifts(0, 2, 9);
-        tracker.record_wire_shifts(1, 0, 9);
-        tracker.record_wire_shifts(2, 4, 1);
-        let health = tracker.snapshot(2);
-        assert_eq!(health.top_wires.len(), 2);
-        // Ties on shifts break by (subarray, wire) ascending.
-        assert_eq!(
-            (health.top_wires[0].subarray, health.top_wires[0].wire),
-            (0, 2)
-        );
-        assert_eq!(
-            (health.top_wires[1].subarray, health.top_wires[1].wire),
-            (1, 0)
-        );
-    }
-
-    #[test]
-    fn wire_map_is_bounded() {
-        let tracker = WearTracker::new();
-        for wire in 0..(WearTracker::MAX_WIRES as u32 + 10) {
-            tracker.record_wire_shifts(0, wire, 1);
-        }
-        let health = tracker.snapshot(WearTracker::MAX_WIRES + 16);
-        assert_eq!(health.top_wires.len(), WearTracker::MAX_WIRES);
-        assert_eq!(health.wires_dropped, 10);
     }
 
     #[test]
@@ -281,9 +127,8 @@ mod tests {
             let tracker = WearTracker::new();
             for s in 0..4u32 {
                 tracker.record_activity(s, u64::from(s) * 3 + 1, u64::from(s) * 7, 0.25);
-                tracker.record_fault(s, s, FaultOutcome::OverShift);
             }
-            tracker.snapshot(4)
+            tracker.snapshot()
         };
         assert_eq!(build(), build());
     }

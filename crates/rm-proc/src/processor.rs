@@ -3,7 +3,9 @@
 //! Wires the `dw-logic` structures together exactly as Figure 11 describes:
 //! duplicator bank → multiplier (partial products) → adder tree → circle
 //! adder. Every gate traversal is tallied, so small-scale runs double as
-//! energy ground truth for the closed-form model.
+//! energy ground truth for the closed-form model. The [`GateTally`] each
+//! call returns is the datapath's only observation channel: nothing here
+//! takes an attribution probe.
 
 use crate::op::ProcOp;
 use crate::pipeline::PipelineModel;
@@ -120,27 +122,7 @@ impl RmProcessor {
     ///
     /// Panics if the slices have different lengths.
     pub fn dot(&mut self, a: &[u64], b: &[u64]) -> (u64, GateTally) {
-        self.dot_probed(a, b, &rm_core::NullProbe, "proc")
-    }
-
-    /// [`Self::dot`] with per-stage attribution: the gate-op delta of each
-    /// pipeline stage is recorded on `probe` under `{prefix}/duplicator`
-    /// (stage 2a), `{prefix}/multiplier` (stages 2b-3: partial products and
-    /// the product adder tree, whose tallies are fused in the plane datapath) and
-    /// `{prefix}/adder_tree` (stage 4: the circle-adder accumulation).
-    /// Result, tally, and unit state are identical to the unprobed call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn dot_probed(
-        &mut self,
-        a: &[u64],
-        b: &[u64],
-        probe: &dyn rm_core::Probe,
-        prefix: &str,
-    ) -> (u64, GateTally) {
-        self.dot_probed_with(a, b, probe, prefix, &mut ProcScratch::new())
+        self.dot_with(a, b, &mut ProcScratch::new())
     }
 
     /// [`Self::dot`] with caller-provided scratch: the multiplier's planes
@@ -157,30 +139,12 @@ impl RmProcessor {
         b: &[u64],
         scratch: &mut ProcScratch,
     ) -> (u64, GateTally) {
-        self.dot_probed_with(a, b, &rm_core::NullProbe, "proc", scratch)
-    }
-
-    /// [`Self::dot_probed`] with caller-provided scratch (see
-    /// [`Self::dot_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn dot_probed_with(
-        &mut self,
-        a: &[u64],
-        b: &[u64],
-        probe: &dyn rm_core::Probe,
-        prefix: &str,
-        scratch: &mut ProcScratch,
-    ) -> (u64, GateTally) {
         assert_eq!(a.len(), b.len(), "dot product needs equal-length vectors");
         let mut tally = GateTally::new();
         self.circle.reset();
         // Stage 2a: one replicate call per element, accounted in bulk.
         self.duplicators
             .replicate_bulk(self.width as usize, a.len() as u64, &mut tally);
-        let after_dup = tally.total();
         // Stages 2b-3: plane-form partial products and adder tree, up to a
         // word-group of elements per kernel call. Operands are masked inside
         // the transpose.
@@ -192,16 +156,9 @@ impl RmProcessor {
             &mut scratch.planes,
             &mut scratch.products,
         );
-        let after_mul = tally.total();
         // Stage 4: the circle adder accumulates the product stream.
         self.circle.accumulate_many(&scratch.products, &mut tally);
-        let after_acc = tally.total();
         self.ops_executed += 1;
-        if probe.enabled() {
-            record_stage(probe, prefix, "duplicator", after_dup);
-            record_stage(probe, prefix, "multiplier", after_mul - after_dup);
-            record_stage(probe, prefix, "adder_tree", after_acc - after_mul);
-        }
         (self.circle.take_result(), tally)
     }
 
@@ -234,23 +191,6 @@ impl RmProcessor {
     ///
     /// Panics if the slices have different lengths.
     pub fn vadd(&mut self, a: &[u64], b: &[u64]) -> (Vec<u64>, GateTally) {
-        self.vadd_probed(a, b, &rm_core::NullProbe, "proc")
-    }
-
-    /// [`Self::vadd`] with attribution: every gate op lands on
-    /// `{prefix}/adder_tree` (the addition path uses the circle adder in
-    /// scalar mode only). Behaviour is identical to the unprobed call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn vadd_probed(
-        &mut self,
-        a: &[u64],
-        b: &[u64],
-        probe: &dyn rm_core::Probe,
-        prefix: &str,
-    ) -> (Vec<u64>, GateTally) {
         assert_eq!(
             a.len(),
             b.len(),
@@ -266,9 +206,6 @@ impl RmProcessor {
             .map(|(sum, carry)| sum | ((carry as u64) << self.width))
             .collect();
         self.ops_executed += 1;
-        if probe.enabled() {
-            record_stage(probe, prefix, "adder_tree", tally.total());
-        }
         (out, tally)
     }
 
@@ -302,30 +239,12 @@ impl RmProcessor {
     /// scalar multiplications (circle adder bypassed). Word-parallel like
     /// [`Self::dot`]; [`Self::svmul_scalar`] is the serial reference.
     pub fn svmul(&mut self, s: u64, v: &[u64]) -> (Vec<u64>, GateTally) {
-        self.svmul_probed(s, v, &rm_core::NullProbe, "proc")
-    }
-
-    /// [`Self::svmul`] with attribution: stage gate-op deltas land on
-    /// `{prefix}/duplicator` and `{prefix}/multiplier` (the circle adder is
-    /// bypassed). Behaviour is identical to the unprobed call.
-    pub fn svmul_probed(
-        &mut self,
-        s: u64,
-        v: &[u64],
-        probe: &dyn rm_core::Probe,
-        prefix: &str,
-    ) -> (Vec<u64>, GateTally) {
         let mut tally = GateTally::new();
         self.duplicators
             .replicate_bulk(self.width as usize, v.len() as u64, &mut tally);
-        let after_dup = tally.total();
         let sv = vec![s; v.len()];
         let out = self.multiplier.multiply_many(&sv, v, &mut tally);
         self.ops_executed += 1;
-        if probe.enabled() {
-            record_stage(probe, prefix, "duplicator", after_dup);
-            record_stage(probe, prefix, "multiplier", tally.total() - after_dup);
-        }
         (out, tally)
     }
 
@@ -356,17 +275,6 @@ impl RmProcessor {
     }
 }
 
-/// Records a pipeline stage's gate-op delta under `{prefix}/{stage}`.
-fn record_stage(probe: &dyn rm_core::Probe, prefix: &str, stage: &str, gate_ops: u64) {
-    probe.record(
-        &format!("{prefix}/{stage}"),
-        rm_core::ProbeSample::ops(rm_core::OpCounters {
-            gate_ops,
-            ..rm_core::OpCounters::default()
-        }),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,54 +298,6 @@ mod tests {
         assert!(tally.fanout > 0, "duplications happened");
         assert!(tally.nand > 0, "adders ran");
         assert_eq!(p.ops_executed(), 1);
-    }
-
-    #[test]
-    fn probed_stages_partition_the_gate_tally() {
-        use rm_core::{Probe, ProbeSample};
-        use std::collections::BTreeMap;
-        use std::sync::Mutex;
-
-        #[derive(Debug, Default)]
-        struct MapProbe(Mutex<BTreeMap<String, u64>>);
-        impl Probe for MapProbe {
-            fn enabled(&self) -> bool {
-                true
-            }
-            fn record(&self, path: &str, sample: ProbeSample) {
-                *self.0.lock().unwrap().entry(path.to_string()).or_default() += sample.ops.gate_ops;
-            }
-        }
-
-        let a = [1u64, 2, 3, 4, 5];
-        let b = [10u64, 20, 30, 40, 50];
-        let probe = MapProbe::default();
-        let mut probed = RmProcessor::new(8, 2);
-        let (r, tally) = probed.dot_probed(&a, &b, &probe, "proc");
-        let mut plain = RmProcessor::new(8, 2);
-        assert_eq!(
-            (r, tally),
-            plain.dot(&a, &b),
-            "probing must not change results"
-        );
-        assert_eq!(probed, plain, "probing must not change unit state");
-        {
-            let map = probe.0.lock().unwrap();
-            assert_eq!(
-                map.keys().collect::<Vec<_>>(),
-                ["proc/adder_tree", "proc/duplicator", "proc/multiplier"]
-            );
-            assert_eq!(map.values().sum::<u64>(), tally.total());
-            assert!(map.values().all(|&v| v > 0));
-        }
-
-        let (_, vt) = probed.vadd_probed(&[3, 4], &[5, 6], &probe, "proc");
-        let (_, st) = probed.svmul_probed(7, &[1, 2, 3], &probe, "proc");
-        let map = probe.0.lock().unwrap();
-        assert_eq!(
-            map.values().sum::<u64>(),
-            tally.total() + vt.total() + st.total()
-        );
     }
 
     #[test]

@@ -2,18 +2,18 @@
 //! segment (paper §III-D, challenge 3).
 //!
 //! Long shifts accumulate over/under-shift probability. This example
-//! measures (a) the per-operation fault rate as shift distance grows and
+//! measures (a) the per-operation fault rate as shift distance grows,
 //! (b) the end-to-end corruption rate of a transfer across the RM bus span
-//! when performed as one long shift versus segment-bounded hops.
+//! when performed as one long shift versus segment-bounded hops, and (c)
+//! the fault draws of a functional GEMM, read from its counters.
 //!
 //! ```sh
 //! cargo run --release --example fault_injection
 //! ```
 
-use std::sync::Arc;
 use streampim::pim_device::flow::DeviceFlow;
 use streampim::pim_device::Parallelism;
-use streampim::rm_core::{Nanowire, ShiftDir, ShiftFaultModel, WearTracker};
+use streampim::rm_core::{Nanowire, ShiftDir, ShiftFaultModel};
 
 const P_STEP: f64 = 2e-4; // per-domain-step fault probability
 const TRIALS: usize = 20_000;
@@ -80,45 +80,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // (c) Where do the faults land? Run a functional GEMM with an
-    // aggressive fault model and a wear tracker attached: every lane
-    // reports its per-row shift/fault activity, and the tracker folds it
-    // into the same per-subarray heatmap `GET /v1/device/health` serves.
+    // (c) A functional GEMM with an aggressive fault model: every dot's
+    // realized shift total feeds one draw from its lane's seeded fault
+    // stream, and the device's counters total the shifts and the draws.
     let (m, k, n) = (24usize, 16usize, 8usize);
     let a: Vec<u8> = (0..(m * k) as u32).map(|i| (i * 29 % 251) as u8).collect();
     let b: Vec<u8> = (0..(k * n) as u32).map(|i| (i * 53 % 247) as u8).collect();
-    let tracker = Arc::new(WearTracker::new());
-    let mut flow = DeviceFlow::new(4)?
-        .with_fault_model(0.02, 0.01, 0xFA17)
-        .with_health(Arc::clone(&tracker));
+    let mut flow = DeviceFlow::new(4)?.with_fault_model(0.02, 0.01, 0xFA17);
     flow.gemm(&a, &b, m, k, n, Parallelism::Serial)?;
-    let health = tracker.snapshot(4);
+    let stats = flow.stats();
     println!(
-        "\nwear heatmap after a {m}x{k}x{n} GEMM over {} lanes \
-         ({} shifts, {} faults injected):",
-        health.subarrays.len(),
-        health.totals.shifts,
-        health.totals.faults_injected(),
+        "\n{m}x{k}x{n} GEMM over {} lanes, totals from its DeviceFlowStats:",
+        flow.lanes()
     );
-    println!("| lane | shifts | distance | over | under | sampled |");
-    println!("|---|---|---|---|---|---|");
-    for row in &health.subarrays {
-        println!(
-            "| {} | {} | {} | {} | {} | {} |",
-            row.subarray,
-            row.wear.shifts,
-            row.wear.shift_distance,
-            row.wear.over_shifts,
-            row.wear.under_shifts,
-            row.wear.faults_sampled,
-        );
-    }
-    println!("hottest wires (lane, row): ");
-    for wire in &health.top_wires {
-        println!(
-            "  lane {} row {:>2}: {} shifts, {} faults",
-            wire.subarray, wire.wire, wire.shifts, wire.faults
-        );
-    }
+    println!("| shifts | fault draws | faults injected | PIM-path conversions |");
+    println!("|---|---|---|---|");
+    println!(
+        "| {} | {} | {} | {} |",
+        stats.shifts, stats.faults_sampled, stats.faults_injected, stats.pim_conversions
+    );
     Ok(())
 }

@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Simulated timelines: the operational engine's per-command spans
     // (subarray / transfer-lane / decoder tracks) ...
-    EventEngine::new(&cfg).run_instrumented(&schedule, &sink, &NullProbe);
+    EventEngine::new(&cfg)?.run_instrumented(&schedule, &sink, &NullProbe);
     // ... plus the analytic engine's phase spans for the same schedule.
     device.execute_instrumented(&schedule, &sink, &NullProbe, None);
 

@@ -64,7 +64,7 @@ fn fig4_write_dominates_and_compute_is_a_third() {
 #[test]
 fn fig17_average_speedups_near_paper() {
     // Full size: this is the headline result.
-    let t = figures::fig17(Scale::full()).expect("fig17 runs");
+    let t = figures::fig17(Scale::full(), None).expect("fig17 runs");
     let close = |name: &str, paper: f64, tol: f64| {
         let got = t.average_of(name);
         assert!(
@@ -82,7 +82,7 @@ fn fig17_average_speedups_near_paper() {
 
 #[test]
 fn fig18_energy_ordering() {
-    let t = figures::fig18(Scale::full()).expect("fig18 runs");
+    let t = figures::fig18(Scale::full(), None).expect("fig18 runs");
     let v = |n: &str| t.average_of(n);
     assert!(v("CPU-DRAM") > v("ELP2IM"));
     assert!(v("ELP2IM") > v("FELIX"));
@@ -100,7 +100,7 @@ fn fig18_energy_ordering() {
 
 #[test]
 fn fig21_scaling_saturates() {
-    let rows = figures::fig21(Scale(0.5)).expect("fig21 runs");
+    let rows = figures::fig21(Scale(0.5), None).expect("fig21 runs");
     assert_eq!(rows.len(), 4);
     assert!((rows[0].1 - 1.0).abs() < 1e-9);
     assert!(rows[1].1 > rows[0].1, "256 beats 128");
@@ -113,7 +113,7 @@ fn fig21_scaling_saturates() {
 
 #[test]
 fn fig22_optimizations_multiply() {
-    let rows = figures::fig22(Scale(0.5)).expect("fig22 runs");
+    let rows = figures::fig22(Scale(0.5), None).expect("fig22 runs");
     let get = |name: &str| rows.iter().find(|(n, _)| *n == name).unwrap().1;
     assert!((get("base") - 1.0).abs() < 1e-9);
     assert!(get("distribute") > 3.0, "distribute {}", get("distribute"));
@@ -126,7 +126,7 @@ fn fig22_optimizations_multiply() {
 
 #[test]
 fn fig23_dnn_trends() {
-    let rows = figures::fig23().expect("fig23 runs");
+    let rows = figures::fig23(None).expect("fig23 runs");
     let get = |model: &str, platform: &str| {
         rows.iter()
             .find(|r| r.model == model && r.platform == platform)
@@ -161,7 +161,7 @@ fn table4_counts_within_tolerance() {
 
 #[test]
 fn table5_overheads_small_and_monotone() {
-    let rows = figures::table5(Scale(0.5)).expect("table5 runs");
+    let rows = figures::table5(Scale(0.5), None).expect("table5 runs");
     assert_eq!(rows.last().unwrap().segment, 1024);
     assert!(
         rows[0].time_overhead_pct > rows[2].time_overhead_pct,

@@ -3,9 +3,11 @@
 //! 1. **Correlation** — one request id minted at the HTTP edge observably
 //!    links submit → admission event → queue → runtime job → trace spans
 //!    → the settled meter record.
-//! 2. **Golden schema** — the `/v1/metrics` JSON document's shape is
-//!    frozen; adding, removing, or renaming a field fails this test until
-//!    the golden is deliberately updated.
+//! 2. **Golden schema** — the shapes of the `/v1/metrics` JSON document,
+//!    the `/v1/device/health` body and a retained
+//!    `/v1/debug/requests/<id>` record are frozen; adding, removing, or
+//!    renaming a field fails this test until the golden is deliberately
+//!    updated.
 //! 3. **Exposition under load** — every concurrent `/metrics.prom` scrape
 //!    taken while a burst of tenants hammers the service parses under the
 //!    strict Prometheus text-format validator.
@@ -21,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use streampim::pim_baselines::PlatformKind;
 use streampim::pim_obs::prom::validate_exposition;
-use streampim::pim_obs::EventRecord;
+use streampim::pim_obs::{EventRecord, SloConfig};
 use streampim::pim_runtime::{ClusterSpec, Job, MetricsSnapshot, Runtime, RuntimeConfig};
 use streampim::pim_serve::api::{
     MetricsResponse, ResultResponse, StatusResponse, SubmitRequest, SubmitResponse,
@@ -266,20 +268,118 @@ const METRICS_SCHEMA_GOLDEN: &[&str] = &[
     "cluster[].link_energy_pj: float",
 ];
 
+/// The frozen shape of `GET /v1/device/health` after completed jobs.
+/// Deliberate schema changes must update this list (and DESIGN.md §16).
+const DEVICE_HEALTH_SCHEMA_GOLDEN: &[&str] = &[
+    "health.subarrays[].subarray: int",
+    "health.subarrays[].wear.shifts: int",
+    "health.subarrays[].wear.shift_distance: int",
+    "health.subarrays[].wear.busy_ns: float",
+    "health.totals.shifts: int",
+    "health.totals.shift_distance: int",
+    "health.totals.busy_ns: float",
+];
+
+/// The frozen shape of a retained `GET /v1/debug/requests/<id>` record of
+/// a completed single-device job. Deliberate schema changes must update
+/// this list (and DESIGN.md §16).
+const FLIGHT_RECORD_SCHEMA_GOLDEN: &[&str] = &[
+    "request_id: str",
+    "job_id: int",
+    "tenant: str",
+    "name: str",
+    "platform: str",
+    "shape_key: int",
+    "reason: str",
+    "ok: bool",
+    "error: null",
+    "queued_ns: int",
+    "latency_ns: int",
+    "slo_objective_ns: int",
+    "cache.probed: bool",
+    "cache.hit: bool",
+    "cache.near_hit: bool",
+    "cache.repriced_rows: int",
+    "cache.shape_key: int",
+    "spans[].name: str",
+    "spans[].cat: str",
+    "spans[].track: str",
+    "spans[].domain: str",
+    "spans[].start_ns: float",
+    "spans[].dur_ns: float",
+    "trace_dropped: int",
+    "attribution.label: str",
+    "attribution.total.path: str",
+    "attribution.total.busy_ns: float",
+    "attribution.total.total_pj: float",
+    "attribution.total.records: int",
+    "attribution.total.ops.reads: int",
+    "attribution.total.ops.writes: int",
+    "attribution.total.ops.shifts: int",
+    "attribution.total.ops.shift_distance: int",
+    "attribution.total.ops.transverse_reads: int",
+    "attribution.total.ops.pim_adds: int",
+    "attribution.total.ops.pim_muls: int",
+    "attribution.total.ops.gate_ops: int",
+    "attribution.total.energy.read_pj: float",
+    "attribution.total.energy.write_pj: float",
+    "attribution.total.energy.shift_pj: float",
+    "attribution.total.energy.compute_pj: float",
+    "attribution.total.energy.other_pj: float",
+    "attribution.nodes[].path: str",
+    "attribution.nodes[].busy_ns: float",
+    "attribution.nodes[].total_pj: float",
+    "attribution.nodes[].records: int",
+    "attribution.nodes[].ops.reads: int",
+    "attribution.nodes[].ops.writes: int",
+    "attribution.nodes[].ops.shifts: int",
+    "attribution.nodes[].ops.shift_distance: int",
+    "attribution.nodes[].ops.transverse_reads: int",
+    "attribution.nodes[].ops.pim_adds: int",
+    "attribution.nodes[].ops.pim_muls: int",
+    "attribution.nodes[].ops.gate_ops: int",
+    "attribution.nodes[].energy.read_pj: float",
+    "attribution.nodes[].energy.write_pj: float",
+    "attribution.nodes[].energy.shift_pj: float",
+    "attribution.nodes[].energy.compute_pj: float",
+    "attribution.nodes[].energy.other_pj: float",
+    "folded: str",
+];
+
+/// Fetches `path` and asserts its JSON body flattens to `golden`.
+fn assert_schema(addr: &SocketAddr, path: &str, golden: &[&str], name: &str) {
+    let (status, _, body) = call(addr, "GET", path, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let document: Value = serde_json::from_str(&body).unwrap();
+    let mut actual = Vec::new();
+    schema_lines(&document, "", &mut actual);
+    assert_eq!(
+        actual,
+        golden.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        "{path} schema drifted — update {name} deliberately"
+    );
+}
+
 #[test]
 fn v1_metrics_json_schema_is_frozen() {
-    let server = Server::start(ServeConfig::default()).unwrap();
+    // A 1 ns latency objective: every job breaches its SLO, so the flight
+    // recorder retains the full record of each.
+    let server = Server::start(ServeConfig {
+        slo: SloConfig {
+            latency_objective_ns: 1,
+            ..SloConfig::default()
+        },
+        ..ServeConfig::default()
+    })
+    .unwrap();
     let addr = server.addr();
 
     // One completed job so every per-tenant array is populated.
     let (status, _, body) =
         call(&addr, "POST", "/v1/jobs", Some(&submit_body("golden", 16))).unwrap();
     assert_eq!(status, 202, "{body}");
-    let submitted: SubmitResponse = serde_json::from_str(&body).unwrap();
-    assert_eq!(
-        poll_terminal(&addr, submitted.id).state,
-        JobState::Completed
-    );
+    let single: SubmitResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(poll_terminal(&addr, single.id).state, JobState::Completed);
 
     // And one completed cluster job so the per-device utilization rows
     // are populated too.
@@ -304,19 +404,38 @@ fn v1_metrics_json_schema_is_frozen() {
         poll_terminal(&addr, submitted.id).state,
         JobState::Completed
     );
+    // A job reads Completed before its completion hook folds its
+    // attribution into the health and cluster rollups and then retains its
+    // record, so wait for both records.
+    for request_id in [&single.request_id, &submitted.request_id] {
+        let path = format!("/v1/debug/requests/{request_id}");
+        let retained = (0..4_000).any(|_| {
+            let (status, _, _) = call(&addr, "GET", &path, None).unwrap();
+            if status != 200 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            status == 200
+        });
+        assert!(retained, "{path} never retained");
+    }
 
-    let (status, _, body) = call(&addr, "GET", "/v1/metrics", None).unwrap();
-    assert_eq!(status, 200, "{body}");
-    let document: Value = serde_json::from_str(&body).unwrap();
-    let mut actual = Vec::new();
-    schema_lines(&document, "", &mut actual);
-    assert_eq!(
-        actual,
-        METRICS_SCHEMA_GOLDEN
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-        "/v1/metrics schema drifted — update METRICS_SCHEMA_GOLDEN (and DESIGN.md §14) deliberately"
+    assert_schema(
+        &addr,
+        "/v1/metrics",
+        METRICS_SCHEMA_GOLDEN,
+        "METRICS_SCHEMA_GOLDEN (and DESIGN.md §14)",
+    );
+    assert_schema(
+        &addr,
+        "/v1/device/health",
+        DEVICE_HEALTH_SCHEMA_GOLDEN,
+        "DEVICE_HEALTH_SCHEMA_GOLDEN (and DESIGN.md §16)",
+    );
+    assert_schema(
+        &addr,
+        &format!("/v1/debug/requests/{}", single.request_id),
+        FLIGHT_RECORD_SCHEMA_GOLDEN,
+        "FLIGHT_RECORD_SCHEMA_GOLDEN (and DESIGN.md §16)",
     );
     server.shutdown();
 }

@@ -31,7 +31,9 @@ fn lowered(kernel: Kernel, scale: f64) -> (StreamPimConfig, Schedule) {
 fn full_trace(kernel: Kernel, scale: f64) -> Collector {
     let (cfg, schedule) = lowered(kernel, scale);
     let sink = Collector::new();
-    EventEngine::new(&cfg).run_instrumented(&schedule, &sink, &NullProbe);
+    EventEngine::new(&cfg)
+        .unwrap()
+        .run_instrumented(&schedule, &sink, &NullProbe);
     StreamPim::new(cfg)
         .unwrap()
         .execute_instrumented(&schedule, &sink, &NullProbe, None);
