@@ -3,10 +3,13 @@
 //! tasks (`WorkloadSpec::shape_task`), as every runtime job does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pim_cluster::partition::pipeline_stages;
 use pim_device::matrix::Matrix;
 use pim_device::task::{MatrixOp, PimTask, ShapeTask};
 use pim_device::{OptLevel, StreamPim, StreamPimConfig};
-use pim_workloads::{DnnKind, WorkloadSpec};
+use pim_trace::NullSink;
+use pim_workloads::{dnn, DnnKind, WorkloadSpec};
+use rm_core::NullProbe;
 use std::hint::black_box;
 
 fn matmul_task(n: usize) -> ShapeTask {
@@ -28,6 +31,10 @@ fn bench_lowering(c: &mut Criterion) {
 
 /// Pricing one lowered schedule. The `bert` row (242,496 commands in 360
 /// rounds) divided by its command count is the per-command pricing cost.
+/// The `*_streamed` rows lower and price one round at a time
+/// (`ShapeTask::price_instrumented`), as every uncached run and cluster
+/// lane does: all of BERT, and the first of its four 90-matmul pipeline
+/// stages (60,624 commands), which a 4-device BERT pipeline prices once.
 fn bench_pricing(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_pricing");
     group.sample_size(20);
@@ -41,6 +48,23 @@ fn bench_pricing(c: &mut Criterion) {
         let schedule = task.lower(&device).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(name), &schedule, |b, s| {
             b.iter(|| device.execute(black_box(s)))
+        });
+    }
+    let stage = &pipeline_stages(&DnnKind::Bert.model().matmuls, 4)[0];
+    let streamed = [
+        (
+            "bert_streamed",
+            WorkloadSpec::dnn(DnnKind::Bert).shape_task(),
+        ),
+        ("bert_stage_streamed", dnn::matmul_task(stage)),
+    ];
+    for (name, task) in streamed {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &task, |b, t| {
+            b.iter(|| {
+                black_box(t)
+                    .price_instrumented(&device, &NullSink, &NullProbe)
+                    .unwrap()
+            })
         });
     }
     group.finish();

@@ -277,7 +277,9 @@ impl Platform {
     /// counters sum exactly to the returned report's totals.
     ///
     /// The report is identical to the uninstrumented path for any sink and
-    /// probe.
+    /// probe. Without a schedule, StreamPIM platforms lower and price in
+    /// one streamed pass ([`ShapeTask::price_instrumented`]) and build no
+    /// schedule.
     ///
     /// # Errors
     ///
@@ -301,15 +303,10 @@ impl Platform {
                 r
             }
             Inner::StreamPim(device) => {
-                let lowered;
-                let s = match schedule {
-                    Some(s) => s,
-                    None => {
-                        lowered = workload.task.lower(device)?;
-                        &lowered
-                    }
+                let mut report = match schedule {
+                    Some(s) => device.execute_instrumented(s, sink, probe, None),
+                    None => workload.task.price_instrumented(device, sink, probe)?,
                 };
-                let mut report = device.execute_instrumented(s, sink, probe, None);
                 add_pim_static_power(&mut report, probe);
                 return Ok(report);
             }

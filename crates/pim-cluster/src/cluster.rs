@@ -230,8 +230,8 @@ impl Cluster {
     /// configuration.
     ///
     /// The devices are identical, so equal shards are equal lanes: each
-    /// distinct shard is lowered and priced once, and every device holding
-    /// it replays that lane's output.
+    /// distinct shard is lowered and priced once, one round at a time, and
+    /// every device holding it replays that lane's output.
     ///
     /// # Errors
     ///
@@ -259,11 +259,14 @@ impl Cluster {
         }
     }
 
-    /// The `n = 1` path: exactly the single-device platform sequence
-    /// (lower, execute instrumented, static power), so reports, spans and
-    /// probe samples are byte-identical to it. Batch replication scales the
-    /// finished report and records the residual under
-    /// `cluster/batch_replication` so attribution still conserves.
+    /// The `n = 1` path: exactly the single-device platform sequence (the
+    /// streamed [`ShapeTask::price_instrumented`] pass, then static
+    /// power), so reports, spans and probe samples are byte-identical to
+    /// it. Batch replication scales the finished report and records the
+    /// residual under `cluster/batch_replication` so attribution still
+    /// conserves.
+    ///
+    /// [`ShapeTask::price_instrumented`]: pim_device::ShapeTask::price_instrumented
     fn run_single(
         &self,
         workload: &WorkloadSpec,
@@ -272,8 +275,9 @@ impl Cluster {
         probe: &dyn Probe,
     ) -> Result<ClusterReport> {
         let device = StreamPim::new(self.config.device.clone())?;
-        let schedule = workload.shape_task().lower(&device)?;
-        let mut report = device.execute_instrumented(&schedule, sink, probe, None);
+        let mut report = workload
+            .shape_task()
+            .price_instrumented(&device, sink, probe)?;
         add_pim_static_power(&mut report, probe);
         if batch > 1 {
             let residual = scale_report(&report, u64::from(batch) - 1);
@@ -448,7 +452,9 @@ impl Cluster {
 
     /// Runs one lane per distinct shard on scoped threads (clamped by the
     /// cluster's parallelism) and maps every device to its shard's lane.
-    /// Instruments are buffered per lane and replayed later by `finish`.
+    /// A lane lowers and prices its shard in one streamed pass, so it holds
+    /// one round, never the shard's schedule. Instruments are buffered per
+    /// lane and replayed later by `finish`.
     fn run_lanes(&self, shards: &[Vec<MatMulShape>], traced: bool, probed: bool) -> Result<Lanes> {
         // Distinct shards in order of first appearance (a cluster has at
         // most `MAX_DEVICES` shards, so a linear scan is enough).
@@ -480,7 +486,6 @@ impl Cluster {
             // spent one lane per distinct shard, not nested inside the
             // engine.
             let device = StreamPim::new(config.clone())?.with_parallelism(Parallelism::Serial);
-            let schedule = matmul_task(shard).lower(&device)?;
             let collector = Collector::new();
             let buffer = BufferProbe::new();
             let lane_sink: &dyn TraceSink = if traced {
@@ -489,7 +494,7 @@ impl Cluster {
                 &pim_trace::NullSink
             };
             let lane_probe: &dyn Probe = if probed { &buffer } else { &rm_core::NullProbe };
-            let report = device.execute_instrumented(&schedule, lane_sink, lane_probe, None);
+            let report = matmul_task(shard).price_instrumented(&device, lane_sink, lane_probe)?;
             Ok(LaneOutput {
                 report,
                 spans: collector.spans(),

@@ -27,7 +27,10 @@
 //! [`rm_core::shard::run_sharded`] — one lane per distinct shard (the
 //! devices are identical, so equal shards lower and price once and every
 //! device holding one reads its lane's output), clamped by the cluster's
-//! [`Parallelism`](pim_device::Parallelism) — and all reports, probe
+//! [`Parallelism`](pim_device::Parallelism). A lane lowers and prices its
+//! shard one round at a time
+//! ([`ShapeTask::price_instrumented`](pim_device::ShapeTask::price_instrumented)),
+//! so no lane schedule is built or held. All reports, probe
 //! records and trace spans are reduced in fixed device order on the
 //! coordinating thread. Results are byte-identical at any worker
 //! count, and a single-device cluster (`n = 1`, batch 1) routes through

@@ -32,7 +32,7 @@
 
 use crate::device::{OptLevel, StreamPimConfig};
 use crate::report::ExecReport;
-use crate::schedule::Schedule;
+use crate::schedule::{Round, Schedule};
 use crate::vpc::Vpc;
 use pim_trace::{Phase, Span, TraceSink, Track};
 use rm_bus::{BusModel, ElectricalBusModel};
@@ -258,7 +258,7 @@ impl VpcCost {
 }
 
 /// The analytic engine (see module docs). Crate-private: callers price
-/// through [`crate::StreamPim`].
+/// through [`crate::StreamPim`] and [`crate::ShapeTask::price_instrumented`].
 #[derive(Debug, Clone)]
 pub(crate) struct Engine {
     opt: OptLevel,
@@ -314,45 +314,43 @@ impl Engine {
         }
     }
 
-    /// Prices a schedule: the one pricing entry behind every
-    /// `StreamPim::execute*` call. The priced report is identical for
-    /// every sink, probe and table state.
-    ///
-    /// **Trace.** One phase span per round goes to `sink` (broadcast /
-    /// compute / collect timelines, [`pim_trace::Phase`]). The phase
-    /// timeline is *synthetic*: the closed forms compose per-round
-    /// makespans, not per-command start times, so spans carry the
-    /// per-round phase durations laid out according to the optimization
-    /// level — one serial clock for `Base`/`Distribute`, separate
-    /// compute/transfer clocks (both from zero) for `Unblock`, which is
-    /// exactly the overlap structure the closed form assumes.
-    ///
-    /// **Attribution.** Per-VPC costs are recorded on `probe` under
-    /// `bus/lane[k]` (transfers, keyed by their transfer lane),
-    /// `device/subarray[s]` (computes, keyed by their home subarray) and
-    /// `device/controller` (decode energy and occupancy). Each emission
-    /// records exactly the value the engine adds to the report's global
-    /// accumulators, in the same order, so an attribution tree's total is
-    /// bit-identical to the report's `counters`/`energy`. Busy time is
-    /// *occupancy* — per-component busy sums intentionally exceed the
-    /// composed wall-clock time, which is derived after the fact.
-    ///
-    /// **Pricing.** One serial pass over runs of equal [`PriceKey`]s (a
-    /// round's broadcasts, collects and computes each form a few). Each
-    /// distinct key is priced once, through `table` when one is given
-    /// (keys it already holds are replayed, new ones inserted) and through
-    /// a scratch table otherwise. A memoized cost is the exact value
-    /// pricing the key computes, provided the table was only ever fed by
-    /// an engine with this configuration. Per run, the cost is looked up
-    /// once, its `repeat`-scaled products are computed once, and the
-    /// integer counters, VPC count and table hits are added once; each
-    /// command then adds only its own float addends. Every float
-    /// accumulator still gets one addition per command, with the same
-    /// operands in schedule order, and integer sums are exact in any
-    /// grouping, so every report, probe sample and trace span is the same
-    /// at any table state and as a per-command pass. The per-round lane
-    /// sums and subarray loads live in buffers reused across rounds, so a
-    /// run allocates a fixed handful of times however many rounds it has.
+    /// Starts one pricing pass that takes a schedule a round at a time
+    /// (see [`Pricer`]): [`Engine::run`] feeds it a lowered schedule's
+    /// rounds, and [`crate::ShapeTask::price_instrumented`] each round as
+    /// it is lowered.
+    pub(crate) fn pricer<'a>(
+        &'a self,
+        sink: &'a dyn TraceSink,
+        probe: &'a dyn Probe,
+        table: Option<&'a mut PriceTable>,
+    ) -> Pricer<'a> {
+        let lanes = self.tran_lanes as usize;
+        Pricer {
+            engine: self,
+            sink,
+            probe,
+            probed: probe.enabled(),
+            table,
+            scratch: PriceTable::new(),
+            report: ExecReport::new(),
+            vol_proc: 0.0,
+            vol_excl_shift: 0.0,
+            vol_excl_conv: 0.0,
+            vol_overlap: 0.0,
+            compute_critical: 0.0,
+            tran_lane_ns: vec![0.0; lanes],
+            serial_total: 0.0,
+            tran_clock: 0.0,
+            bcast_lane: vec![0.0; lanes],
+            collect_lane: vec![0.0; lanes],
+            sub_load: vec![None; self.subarrays],
+            touched: Vec::with_capacity(self.subarrays),
+            rounds: 0,
+        }
+    }
+
+    /// Prices a schedule: the entry behind every `StreamPim::execute*`
+    /// call, one [`Pricer`] fed each round in order.
     pub(crate) fn run(
         &self,
         schedule: &Schedule,
@@ -360,317 +358,11 @@ impl Engine {
         probe: &dyn Probe,
         table: Option<&mut PriceTable>,
     ) -> ExecReport {
-        let mut scratch = PriceTable::new();
-        let table = table.unwrap_or(&mut scratch);
-        let probed = probe.enabled();
-
-        let lanes = self.tran_lanes as usize;
-        let mut report = ExecReport::new();
-        // Accumulated compute-phase volumes (for breakdown attribution).
-        let mut vol_proc = 0.0f64;
-        let mut vol_excl_shift = 0.0f64;
-        let mut vol_excl_conv = 0.0f64;
-        let mut vol_overlap = 0.0f64;
-        // Critical-path accumulators.
-        let mut compute_critical = 0.0f64; // Σ per-round compute makespans
-        let mut tran_lane_ns = vec![0.0f64; lanes];
-        let mut serial_total = 0.0f64; // Base/Distribute running total
-        let mut tran_clock = 0.0f64; // Unblock transfer-phase span clock
-        let mut vpc_count = 0u64;
-        // Per-round buffers, cleared at the end of each round. The
-        // per-subarray loads are indexed by home subarray and sized once
-        // for the device's PIM subarrays (a hand-built schedule with a home
-        // past that grows them); `touched` lists the homes the round has
-        // loaded, so only those are read and cleared.
-        let mut bcast_lane = vec![0.0f64; lanes];
-        let mut collect_lane = vec![0.0f64; lanes];
-        let mut sub_load: Vec<Option<f64>> = vec![None; self.subarrays];
-        let widest = schedule.rounds.iter().map(|r| r.computes.len()).max();
-        let mut touched: Vec<usize> = Vec::with_capacity(widest.unwrap_or(0));
-
-        for (round_idx, round) in schedule.rounds.iter().enumerate() {
-            let repeat = round.repeat.max(1) as f64;
-            // --- Transfers of this round ---------------------------------
-            // Broadcasts and collects accumulate separately so the trace
-            // can show them as distinct phases; the engine composition only
-            // consumes their per-lane sum.
-            bcast_lane.fill(0.0);
-            collect_lane.fill(0.0);
-            let mut bcast_sum = 0.0;
-            let mut collect_sum = 0.0;
-            for (trans, lane_ns, sum) in [
-                (&round.broadcasts, &mut bcast_lane, &mut bcast_sum),
-                (&round.collects, &mut collect_lane, &mut collect_sum),
-            ] {
-                for (key, run) in key_runs(trans) {
-                    // Only TRANs move data: other commands a hand-built
-                    // schedule puts here are not priced.
-                    if !matches!(key, PriceKey::Tran(_)) {
-                        continue;
-                    }
-                    let commands = run.len() as u64;
-                    let cost = table.cost(self, key, commands);
-                    report.counters += scaled(cost.counters, round.repeat * commands);
-                    vpc_count += round.repeat * commands;
-                    let sample = cost.sample(round.repeat, repeat);
-                    for t in run {
-                        let Vpc::Tran { dst, .. } = *t else {
-                            unreachable!("a TRAN key prices only TRANs")
-                        };
-                        let lane = (dst % self.tran_lanes) as usize;
-                        lane_ns[lane] += cost.busy_ns;
-                        *sum += cost.busy_ns;
-                        report.energy += sample.energy;
-                        if probed {
-                            probe.record(&format!("bus/lane[{lane}]"), sample);
-                        }
-                    }
-                }
-            }
-            let round_tran_sum = bcast_sum + collect_sum;
-            let mut round_tran_parallel = 0.0f64;
-            let mut bcast_parallel = 0.0f64;
-            for (b, c) in bcast_lane.iter().zip(&collect_lane) {
-                round_tran_parallel = round_tran_parallel.max(b + c);
-                bcast_parallel = bcast_parallel.max(*b);
-            }
-
-            // --- Computes of this round -----------------------------------
-            let mut round_busy_sum = 0.0;
-            for (key, run) in key_runs(&round.computes) {
-                let commands = run.len() as u64;
-                let cost = table.cost(self, key, commands);
-                report.counters += scaled(cost.counters, round.repeat * commands);
-                vpc_count += round.repeat * commands;
-                let sample = cost.sample(round.repeat, repeat);
-                let proc = cost.proc_ns * repeat;
-                let overlapped = cost.overlapped_ns * repeat;
-                let excl = cost.excl_transfer_ns * repeat;
-                let vol_excl = if cost.transfer_is_conversion {
-                    &mut vol_excl_conv
-                } else {
-                    &mut vol_excl_shift
-                };
-                for c in run {
-                    let home = c.home_subarray().unwrap_or(0) as usize;
-                    if home >= sub_load.len() {
-                        sub_load.resize(home + 1, None);
-                    }
-                    let load = &mut sub_load[home];
-                    if load.is_none() {
-                        touched.push(home);
-                    }
-                    *load.get_or_insert(0.0) += cost.busy_ns;
-                    round_busy_sum += cost.busy_ns;
-                    vol_proc += proc;
-                    vol_overlap += overlapped;
-                    *vol_excl += excl;
-                    report.energy += sample.energy;
-                    if probed {
-                        probe.record(&format!("device/subarray[{home}]"), sample);
-                    }
-                }
-            }
-            let used = touched.len().max(1) as f64;
-            let max_sub = touched
-                .drain(..)
-                .filter_map(|home| sub_load[home].take())
-                .fold(0.0f64, f64::max);
-            // Exposed once per round: the bus pipeline must fill before the
-            // first operands reach the processors.
-            let fill_ns = if round.computes.is_empty() || self.bus_kind != BusKind::DomainWall {
-                0.0
-            } else {
-                self.bus.word_latency_ns(self.cycle_ns) * self.params.bus_fill_exposure
-            };
-            let parallel_makespan = max_sub.max(round_busy_sum / used) + fill_ns;
-
-            // --- Compose per optimization level ---------------------------
-            // Phase-span layout: (broadcast, compute, collect) durations and
-            // the clocks they start on. Zero-duration phases are skipped.
-            let emit = |sink: &dyn TraceSink, phase: Phase, cat, start: f64, dur: f64| {
-                if dur > 0.0 {
-                    sink.record_span(
-                        Span::sim(
-                            format!("round {round_idx} {}", phase_label(phase)),
-                            cat,
-                            Track::Phase(phase),
-                            start,
-                            dur,
-                        )
-                        .arg("round", round_idx)
-                        .arg("repeat", round.repeat)
-                        .arg("broadcasts", round.broadcasts.len())
-                        .arg("computes", round.computes.len())
-                        .arg("collects", round.collects.len()),
-                    );
-                }
-            };
-            match self.opt {
-                OptLevel::Base => {
-                    // Everything serializes: transfers and computes alike.
-                    if sink.enabled() {
-                        let mut clock = serial_total;
-                        emit(
-                            sink,
-                            Phase::Broadcast,
-                            "transfer",
-                            clock,
-                            repeat * bcast_sum,
-                        );
-                        clock += repeat * bcast_sum;
-                        emit(
-                            sink,
-                            Phase::Compute,
-                            "compute",
-                            clock,
-                            repeat * round_busy_sum,
-                        );
-                        clock += repeat * round_busy_sum;
-                        emit(
-                            sink,
-                            Phase::Collect,
-                            "transfer",
-                            clock,
-                            repeat * collect_sum,
-                        );
-                    }
-                    serial_total += repeat * (round_tran_sum + round_busy_sum);
-                    compute_critical += repeat * round_busy_sum;
-                }
-                OptLevel::Distribute => {
-                    let blocked = self.params.dist_serialization * round_busy_sum
-                        + (1.0 - self.params.dist_serialization) * parallel_makespan;
-                    if sink.enabled() {
-                        // The lane-parallel transfer time, split between the
-                        // broadcast and collect phases pro rata.
-                        let bcast_share = if round_tran_sum > 0.0 {
-                            round_tran_parallel * bcast_sum / round_tran_sum
-                        } else {
-                            0.0
-                        };
-                        let mut clock = serial_total;
-                        emit(
-                            sink,
-                            Phase::Broadcast,
-                            "transfer",
-                            clock,
-                            repeat * bcast_share,
-                        );
-                        clock += repeat * bcast_share;
-                        emit(sink, Phase::Compute, "compute", clock, repeat * blocked);
-                        clock += repeat * blocked;
-                        emit(
-                            sink,
-                            Phase::Collect,
-                            "transfer",
-                            clock,
-                            repeat * (round_tran_parallel - bcast_share),
-                        );
-                    }
-                    serial_total += repeat * (round_tran_parallel + blocked);
-                    compute_critical += repeat * blocked;
-                }
-                OptLevel::Unblock => {
-                    if sink.enabled() {
-                        // Compute and transfer run on independent clocks —
-                        // the overlap the closed form assumes.
-                        emit(
-                            sink,
-                            Phase::Compute,
-                            "compute",
-                            compute_critical,
-                            repeat * parallel_makespan,
-                        );
-                        emit(
-                            sink,
-                            Phase::Broadcast,
-                            "transfer",
-                            tran_clock,
-                            repeat * bcast_parallel,
-                        );
-                        emit(
-                            sink,
-                            Phase::Collect,
-                            "transfer",
-                            tran_clock + repeat * bcast_parallel,
-                            repeat * (round_tran_parallel - bcast_parallel),
-                        );
-                        tran_clock += repeat * round_tran_parallel;
-                    }
-                    compute_critical += repeat * parallel_makespan;
-                    for ((acc, b), c) in tran_lane_ns.iter_mut().zip(&bcast_lane).zip(&collect_lane)
-                    {
-                        *acc += (b + c) * repeat;
-                    }
-                }
-            }
+        let mut pricer = self.pricer(sink, probe, table);
+        for round in &schedule.rounds {
+            pricer.round(round);
         }
-
-        report.vpc = schedule.counts();
-        debug_assert_eq!(report.vpc.total(), vpc_count);
-
-        // Controller decode occupancy: per-VPC, parallel across PIM banks.
-        let controller_ns =
-            vpc_count as f64 * self.params.controller_ns_per_vpc / self.tran_lanes as f64;
-        report.energy.other_pj += vpc_count as f64 * 1.0; // 1 pJ decode per VPC
-        if probed {
-            probe.record(
-                "device/controller",
-                ProbeSample {
-                    ops: OpCounters::default(),
-                    energy: EnergyBreakdown {
-                        other_pj: vpc_count as f64 * 1.0,
-                        ..EnergyBreakdown::default()
-                    },
-                    busy_ns: controller_ns,
-                },
-            );
-        }
-
-        // --- Total and breakdown ------------------------------------------
-        let tran_critical = tran_lane_ns.iter().copied().fold(0.0f64, f64::max);
-        let (total, tran_exposed) = match self.opt {
-            OptLevel::Base | OptLevel::Distribute => (serial_total, true),
-            OptLevel::Unblock => (compute_critical.max(tran_critical), false),
-        };
-        let total = total.max(controller_ns);
-
-        // Scale the per-VPC compute volumes onto the compute-critical time.
-        let vol_sum = vol_proc + vol_excl_shift + vol_excl_conv + vol_overlap;
-        let k = if vol_sum > 0.0 {
-            compute_critical / vol_sum
-        } else {
-            0.0
-        };
-        report.time.process_ns = vol_proc * k;
-        report.time.shift_ns = vol_excl_shift * k;
-        report.time.overlapped_ns = vol_overlap * k;
-        let conv = vol_excl_conv * k;
-        // Electrical conversions split between read and write by latency.
-        let rw = self.read_ns + self.write_ns;
-        report.time.read_ns = conv * self.read_ns / rw;
-        report.time.write_ns = conv * self.write_ns / rw;
-
-        if tran_exposed {
-            // Inter-subarray transfer phases are exclusive read/write time.
-            let tran_time = total - compute_critical.min(total);
-            report.time.read_ns += tran_time * self.read_ns / rw;
-            report.time.write_ns += tran_time * self.write_ns / rw;
-        } else {
-            // Unblock: transfers beyond the compute-critical path extend the
-            // makespan; hidden transfers vanish into overlap.
-            let excess = (tran_critical - compute_critical).max(0.0);
-            report.time.read_ns += excess * self.read_ns / rw;
-            report.time.write_ns += excess * self.write_ns / rw;
-        }
-
-        // Controller excess (if it set the total) counts as processing.
-        let accounted = report.time.total_ns();
-        if total > accounted {
-            report.time.process_ns += total - accounted;
-        }
-        report
+        pricer.finish()
     }
 
     /// Subarray/lane occupancy of one command under this engine's cost
@@ -799,6 +491,356 @@ impl Engine {
     }
 }
 
+/// One pricing pass, fed a round at a time in schedule order: the
+/// analytic engine's only pricer. The priced report is identical for every
+/// sink, probe and table state, and for every way of feeding it the same
+/// rounds (a lowered schedule, or rounds priced as they are lowered).
+///
+/// **Trace.** One phase span per round goes to `sink` (broadcast /
+/// compute / collect timelines, [`pim_trace::Phase`]). The phase
+/// timeline is *synthetic*: the closed forms compose per-round
+/// makespans, not per-command start times, so spans carry the
+/// per-round phase durations laid out according to the optimization
+/// level — one serial clock for `Base`/`Distribute`, separate
+/// compute/transfer clocks (both from zero) for `Unblock`, which is
+/// exactly the overlap structure the closed form assumes.
+///
+/// **Attribution.** Per-VPC costs are recorded on `probe` under
+/// `bus/lane[k]` (transfers, keyed by their transfer lane),
+/// `device/subarray[s]` (computes, keyed by their home subarray) and
+/// `device/controller` (decode energy and occupancy). Each emission
+/// records exactly the value the engine adds to the report's global
+/// accumulators, so an attribution tree's total is bit-identical to the
+/// report's `counters`/`energy`. Busy time is *occupancy* —
+/// per-component busy sums intentionally exceed the composed wall-clock
+/// time, which is derived after the fact.
+///
+/// **Pricing.** One serial pass over runs of equal [`PriceKey`]s (a
+/// round's broadcasts, collects and computes each form a few). Each
+/// distinct key is priced once, through `table` when one is given (keys
+/// it already holds are replayed, new ones inserted) and through a
+/// scratch table otherwise. A memoized cost is the exact value pricing
+/// the key computes, provided the table was only ever fed by an engine
+/// with this configuration. Per run, the cost is looked up once, its
+/// `repeat`-scaled products are computed once, and the integer counters,
+/// VPC counts and table hits are added once. Every float accumulator that
+/// gets the same addend from each command of the run (the broadcast,
+/// collect and round busy sums, the three compute volumes, the five
+/// energy fields) takes it through [`add_n`], which returns the bits of
+/// the per-command additions. Per command only the transfer lane's sum,
+/// the home subarray's load and the probe record remain. Integer sums are
+/// exact in any grouping, so every report, probe sample and trace span is
+/// the same at any table state and as a per-command pass. The per-round
+/// lane sums and subarray loads live in buffers reused across rounds, so
+/// a pass allocates a fixed handful of times however many rounds it has.
+pub(crate) struct Pricer<'a> {
+    engine: &'a Engine,
+    sink: &'a dyn TraceSink,
+    probe: &'a dyn Probe,
+    probed: bool,
+    table: Option<&'a mut PriceTable>,
+    scratch: PriceTable,
+    report: ExecReport,
+    // Accumulated compute-phase volumes (for breakdown attribution).
+    vol_proc: f64,
+    vol_excl_shift: f64,
+    vol_excl_conv: f64,
+    vol_overlap: f64,
+    // Critical-path accumulators.
+    compute_critical: f64, // Σ per-round compute makespans
+    tran_lane_ns: Vec<f64>,
+    serial_total: f64, // Base/Distribute running total
+    tran_clock: f64,   // Unblock transfer-phase span clock
+    // Per-round buffers, cleared at the end of each round. The
+    // per-subarray loads are indexed by home subarray and sized once for
+    // the device's PIM subarrays (a hand-built round with a home past that
+    // grows them); `touched` lists the homes the round has loaded, so only
+    // those are read and cleared.
+    bcast_lane: Vec<f64>,
+    collect_lane: Vec<f64>,
+    sub_load: Vec<Option<f64>>,
+    touched: Vec<usize>,
+    /// Rounds priced so far (the next round's index in spans).
+    rounds: usize,
+}
+
+impl Pricer<'_> {
+    /// Prices the next round. Only TRANs move data: other commands a
+    /// hand-built round puts among its broadcasts or collects are neither
+    /// priced nor counted.
+    pub(crate) fn round(&mut self, round: &Round) {
+        let engine = self.engine;
+        let (sink, probe, probed) = (self.sink, self.probe, self.probed);
+        let table = match &mut self.table {
+            Some(table) => &mut **table,
+            None => &mut self.scratch,
+        };
+        let round_idx = self.rounds;
+        self.rounds += 1;
+        let repeat = round.repeat.max(1) as f64;
+        // --- Transfers of this round ---------------------------------
+        // Broadcasts and collects accumulate separately so the trace can
+        // show them as distinct phases; the engine composition only
+        // consumes their per-lane sum.
+        self.bcast_lane.fill(0.0);
+        self.collect_lane.fill(0.0);
+        let mut bcast_sum = 0.0;
+        let mut collect_sum = 0.0;
+        let mut moves = 0u64;
+        for (trans, lane_ns, sum) in [
+            (&round.broadcasts, &mut self.bcast_lane, &mut bcast_sum),
+            (&round.collects, &mut self.collect_lane, &mut collect_sum),
+        ] {
+            for (key, run) in key_runs(trans) {
+                if !matches!(key, PriceKey::Tran(_)) {
+                    continue;
+                }
+                let commands = run.len() as u64;
+                moves += commands;
+                let cost = table.cost(engine, key, commands);
+                self.report.counters += scaled(cost.counters, round.repeat * commands);
+                let sample = cost.sample(round.repeat, repeat);
+                *sum = add_n(*sum, cost.busy_ns, commands);
+                self.report.energy = add_n_energy(self.report.energy, sample.energy, commands);
+                for t in run {
+                    let Vpc::Tran { dst, .. } = *t else {
+                        unreachable!("a TRAN key prices only TRANs")
+                    };
+                    let lane = (dst % engine.tran_lanes) as usize;
+                    lane_ns[lane] += cost.busy_ns;
+                    if probed {
+                        probe.record(&format!("bus/lane[{lane}]"), sample);
+                    }
+                }
+            }
+        }
+        let round_tran_sum = bcast_sum + collect_sum;
+        let mut round_tran_parallel = 0.0f64;
+        let mut bcast_parallel = 0.0f64;
+        for (b, c) in self.bcast_lane.iter().zip(&self.collect_lane) {
+            round_tran_parallel = round_tran_parallel.max(b + c);
+            bcast_parallel = bcast_parallel.max(*b);
+        }
+
+        // --- Computes of this round -----------------------------------
+        let mut round_busy_sum = 0.0;
+        for (key, run) in key_runs(&round.computes) {
+            let commands = run.len() as u64;
+            let cost = table.cost(engine, key, commands);
+            self.report.counters += scaled(cost.counters, round.repeat * commands);
+            let sample = cost.sample(round.repeat, repeat);
+            round_busy_sum = add_n(round_busy_sum, cost.busy_ns, commands);
+            self.vol_proc = add_n(self.vol_proc, cost.proc_ns * repeat, commands);
+            self.vol_overlap = add_n(self.vol_overlap, cost.overlapped_ns * repeat, commands);
+            let vol_excl = if cost.transfer_is_conversion {
+                &mut self.vol_excl_conv
+            } else {
+                &mut self.vol_excl_shift
+            };
+            *vol_excl = add_n(*vol_excl, cost.excl_transfer_ns * repeat, commands);
+            self.report.energy = add_n_energy(self.report.energy, sample.energy, commands);
+            for c in run {
+                let home = c.home_subarray().unwrap_or(0) as usize;
+                if home >= self.sub_load.len() {
+                    self.sub_load.resize(home + 1, None);
+                }
+                let load = &mut self.sub_load[home];
+                if load.is_none() {
+                    self.touched.push(home);
+                }
+                *load.get_or_insert(0.0) += cost.busy_ns;
+                if probed {
+                    probe.record(&format!("device/subarray[{home}]"), sample);
+                }
+            }
+        }
+        self.report.vpc.pim += round.computes.len() as u64 * round.repeat;
+        self.report.vpc.moves += moves * round.repeat;
+        let used = self.touched.len().max(1) as f64;
+        let sub_load = &mut self.sub_load;
+        let max_sub = self
+            .touched
+            .drain(..)
+            .filter_map(|home| sub_load[home].take())
+            .fold(0.0f64, f64::max);
+        // Exposed once per round: the bus pipeline must fill before the
+        // first operands reach the processors.
+        let fill_ns = if round.computes.is_empty() || engine.bus_kind != BusKind::DomainWall {
+            0.0
+        } else {
+            engine.bus.word_latency_ns(engine.cycle_ns) * engine.params.bus_fill_exposure
+        };
+        let parallel_makespan = max_sub.max(round_busy_sum / used) + fill_ns;
+
+        // --- Compose per optimization level ---------------------------
+        // Phase-span layout: (broadcast, compute, collect) durations and
+        // the clocks they start on. Zero-duration phases are skipped.
+        let emit = |phase: Phase, cat, start: f64, dur: f64| {
+            if dur > 0.0 {
+                sink.record_span(
+                    Span::sim(
+                        format!("round {round_idx} {}", phase_label(phase)),
+                        cat,
+                        Track::Phase(phase),
+                        start,
+                        dur,
+                    )
+                    .arg("round", round_idx)
+                    .arg("repeat", round.repeat)
+                    .arg("broadcasts", round.broadcasts.len())
+                    .arg("computes", round.computes.len())
+                    .arg("collects", round.collects.len()),
+                );
+            }
+        };
+        match engine.opt {
+            OptLevel::Base => {
+                // Everything serializes: transfers and computes alike.
+                if sink.enabled() {
+                    let mut clock = self.serial_total;
+                    emit(Phase::Broadcast, "transfer", clock, repeat * bcast_sum);
+                    clock += repeat * bcast_sum;
+                    emit(Phase::Compute, "compute", clock, repeat * round_busy_sum);
+                    clock += repeat * round_busy_sum;
+                    emit(Phase::Collect, "transfer", clock, repeat * collect_sum);
+                }
+                self.serial_total += repeat * (round_tran_sum + round_busy_sum);
+                self.compute_critical += repeat * round_busy_sum;
+            }
+            OptLevel::Distribute => {
+                let blocked = engine.params.dist_serialization * round_busy_sum
+                    + (1.0 - engine.params.dist_serialization) * parallel_makespan;
+                if sink.enabled() {
+                    // The lane-parallel transfer time, split between the
+                    // broadcast and collect phases pro rata.
+                    let bcast_share = if round_tran_sum > 0.0 {
+                        round_tran_parallel * bcast_sum / round_tran_sum
+                    } else {
+                        0.0
+                    };
+                    let mut clock = self.serial_total;
+                    emit(Phase::Broadcast, "transfer", clock, repeat * bcast_share);
+                    clock += repeat * bcast_share;
+                    emit(Phase::Compute, "compute", clock, repeat * blocked);
+                    clock += repeat * blocked;
+                    emit(
+                        Phase::Collect,
+                        "transfer",
+                        clock,
+                        repeat * (round_tran_parallel - bcast_share),
+                    );
+                }
+                self.serial_total += repeat * (round_tran_parallel + blocked);
+                self.compute_critical += repeat * blocked;
+            }
+            OptLevel::Unblock => {
+                if sink.enabled() {
+                    // Compute and transfer run on independent clocks — the
+                    // overlap the closed form assumes.
+                    emit(
+                        Phase::Compute,
+                        "compute",
+                        self.compute_critical,
+                        repeat * parallel_makespan,
+                    );
+                    emit(
+                        Phase::Broadcast,
+                        "transfer",
+                        self.tran_clock,
+                        repeat * bcast_parallel,
+                    );
+                    emit(
+                        Phase::Collect,
+                        "transfer",
+                        self.tran_clock + repeat * bcast_parallel,
+                        repeat * (round_tran_parallel - bcast_parallel),
+                    );
+                    self.tran_clock += repeat * round_tran_parallel;
+                }
+                self.compute_critical += repeat * parallel_makespan;
+                for ((acc, b), c) in self
+                    .tran_lane_ns
+                    .iter_mut()
+                    .zip(&self.bcast_lane)
+                    .zip(&self.collect_lane)
+                {
+                    *acc += (b + c) * repeat;
+                }
+            }
+        }
+    }
+
+    /// Ends the pass: charges controller decode, composes the total and
+    /// splits it into the report's time breakdown.
+    pub(crate) fn finish(self) -> ExecReport {
+        let engine = self.engine;
+        let mut report = self.report;
+        // Controller decode occupancy: per-VPC, parallel across PIM banks.
+        let vpc_count = report.vpc.total();
+        let controller_ns =
+            vpc_count as f64 * engine.params.controller_ns_per_vpc / engine.tran_lanes as f64;
+        report.energy.other_pj += vpc_count as f64 * 1.0; // 1 pJ decode per VPC
+        if self.probed {
+            self.probe.record(
+                "device/controller",
+                ProbeSample {
+                    ops: OpCounters::default(),
+                    energy: EnergyBreakdown {
+                        other_pj: vpc_count as f64 * 1.0,
+                        ..EnergyBreakdown::default()
+                    },
+                    busy_ns: controller_ns,
+                },
+            );
+        }
+
+        // --- Total and breakdown ------------------------------------------
+        let compute_critical = self.compute_critical;
+        let tran_critical = self.tran_lane_ns.iter().copied().fold(0.0f64, f64::max);
+        let (total, tran_exposed) = match engine.opt {
+            OptLevel::Base | OptLevel::Distribute => (self.serial_total, true),
+            OptLevel::Unblock => (compute_critical.max(tran_critical), false),
+        };
+        let total = total.max(controller_ns);
+
+        // Scale the per-VPC compute volumes onto the compute-critical time.
+        let vol_sum = self.vol_proc + self.vol_excl_shift + self.vol_excl_conv + self.vol_overlap;
+        let k = if vol_sum > 0.0 {
+            compute_critical / vol_sum
+        } else {
+            0.0
+        };
+        report.time.process_ns = self.vol_proc * k;
+        report.time.shift_ns = self.vol_excl_shift * k;
+        report.time.overlapped_ns = self.vol_overlap * k;
+        let conv = self.vol_excl_conv * k;
+        // Electrical conversions split between read and write by latency.
+        let rw = engine.read_ns + engine.write_ns;
+        report.time.read_ns = conv * engine.read_ns / rw;
+        report.time.write_ns = conv * engine.write_ns / rw;
+
+        if tran_exposed {
+            // Inter-subarray transfer phases are exclusive read/write time.
+            let tran_time = total - compute_critical.min(total);
+            report.time.read_ns += tran_time * engine.read_ns / rw;
+            report.time.write_ns += tran_time * engine.write_ns / rw;
+        } else {
+            // Unblock: transfers beyond the compute-critical path extend the
+            // makespan; hidden transfers vanish into overlap.
+            let excess = (tran_critical - compute_critical).max(0.0);
+            report.time.read_ns += excess * engine.read_ns / rw;
+            report.time.write_ns += excess * engine.write_ns / rw;
+        }
+
+        // Controller excess (if it set the total) counts as processing.
+        let accounted = report.time.total_ns();
+        if total > accounted {
+            report.time.process_ns += total - accounted;
+        }
+        report
+    }
+}
+
 /// Phase display label for round span names.
 fn phase_label(phase: Phase) -> &'static str {
     match phase {
@@ -838,10 +880,95 @@ fn scaled(delta: OpCounters, times: u64) -> OpCounters {
     }
 }
 
+/// `acc` with `x` added `n` times: the same bits as the `n` sequential
+/// additions `(0..n).fold(acc, |a, _| a + x)`, in O(binades crossed) work.
+///
+/// While `acc` is a positive normal number above `x ≥ 0`, it is a multiple
+/// of its binade's spacing `u = ulp(acc)`, so `acc + x` rounds to
+/// `acc + round(x / u)·u` for as long as the sum stays in that binade,
+/// unless `x / u` lies exactly halfway between two integers (a tie, which
+/// rounds by `acc`'s last bit). Those additions all add the same step, so
+/// they are taken at once on the integer significand, and the one that
+/// leaves the binade is a plain addition. Ties, a zero, subnormal or
+/// non-finite `acc`, and a negative or non-finite `x` take plain
+/// additions; a plain addition that leaves `acc` unchanged ends the loop,
+/// because every later one would too.
+fn add_n(mut acc: f64, x: f64, mut n: u64) -> f64 {
+    const FRACTION: u64 = (1 << 52) - 1;
+    while n > 0 {
+        if n > 1 && acc.is_normal() && acc > x && x >= 0.0 {
+            // acc = a·u with a in [2^52, 2^53), and x = xm·2^xe with xe no
+            // larger than u's exponent, since x < acc.
+            let bits = acc.to_bits();
+            let a = bits & FRACTION | 1 << 52;
+            let u_exp = (bits >> 52) as i64 - 1075;
+            let (xm, x_exp) = significand(x);
+            let shift = (u_exp - x_exp) as u32;
+            // x / u rounded to the nearest integer; `None` on a tie.
+            let step = if shift == 0 {
+                Some(xm)
+            } else if shift > 53 {
+                Some(0) // below half an ulp: xm < 2^53 <= 2^(shift - 1)
+            } else {
+                let half = 1u64 << (shift - 1);
+                let q = xm >> shift;
+                match (xm & ((half << 1) - 1)).cmp(&half) {
+                    std::cmp::Ordering::Less => Some(q),
+                    std::cmp::Ordering::Greater => Some(q + 1),
+                    std::cmp::Ordering::Equal => None,
+                }
+            };
+            match step {
+                Some(0) => return acc,
+                Some(j) => {
+                    // Additions that keep the significand below 2^53.
+                    let m = ((1 << 53) - 1 - a) / j;
+                    let m = m.min(n);
+                    acc = f64::from_bits(bits + m * j);
+                    n -= m;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                None => {}
+            }
+        }
+        let next = acc + x;
+        if next.to_bits() == acc.to_bits() {
+            break;
+        }
+        acc = next;
+        n -= 1;
+    }
+    acc
+}
+
+/// A finite non-negative `x` as `(m, e)` with `x = m·2^e` and `m < 2^53`.
+fn significand(x: f64) -> (u64, i64) {
+    let bits = x.abs().to_bits();
+    let biased = (bits >> 52) as i64;
+    let fraction = bits & ((1 << 52) - 1);
+    if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    }
+}
+
+/// [`add_n`] on each of the five energy fields.
+fn add_n_energy(acc: EnergyBreakdown, x: EnergyBreakdown, n: u64) -> EnergyBreakdown {
+    EnergyBreakdown {
+        read_pj: add_n(acc.read_pj, x.read_pj, n),
+        write_pj: add_n(acc.write_pj, x.write_pj, n),
+        shift_pj: add_n(acc.shift_pj, x.shift_pj, n),
+        compute_pj: add_n(acc.compute_pj, x.compute_pj, n),
+        other_pj: add_n(acc.other_pj, x.other_pj, n),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Round;
     use crate::vpc::VecRef;
     use pim_trace::NullSink;
     use rm_core::NullProbe;
@@ -1243,6 +1370,113 @@ mod tests {
             check_folded_pricing(&engine, &s);
             // The same oracles over long runs of equal keys.
             check_folded_pricing(&engine, &schedule(3, 16, 500));
+        }
+    }
+
+    #[test]
+    fn only_trans_in_transfer_lists_are_priced_and_counted() {
+        let engine = Engine::new(&StreamPimConfig::paper_default());
+        let mul = Vpc::Mul {
+            src1: VecRef::new(3, 64),
+            src2: VecRef::new(3, 64),
+        };
+        let price = |stray: bool| {
+            let mut round = Round::new();
+            round.computes.push(mul);
+            if stray {
+                round.broadcasts.push(mul);
+                round.collects.push(mul);
+            }
+            let mut s = Schedule::new();
+            s.push(round);
+            engine.run(&s, &NullSink, &NullProbe, None)
+        };
+        let stray = price(true);
+        assert_eq!(stray.vpc, crate::vpc::VpcCounts { pim: 1, moves: 0 });
+        assert_eq!(stray, price(false));
+    }
+
+    /// A non-negative float of `kind` drawn from `bits`: zero, subnormal,
+    /// any finite normal, a normal with a 1–8-bit significand, or one in
+    /// the top binade.
+    fn float_of(kind: u64, bits: u64) -> f64 {
+        let fraction = bits & ((1 << 52) - 1);
+        let exponent = (bits >> 52) % 2046 + 1;
+        match kind % 5 {
+            0 => 0.0,
+            1 => f64::from_bits(fraction.max(1)),
+            2 => f64::from_bits(exponent << 52 | fraction),
+            3 => {
+                let dropped = 44 + bits % 9;
+                f64::from_bits(exponent << 52 | fraction >> dropped << dropped)
+            }
+            _ => f64::from_bits(2046 << 52 | fraction),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+        #[test]
+        fn add_n_matches_sequential_additions(
+            acc_kind in 0u64..5,
+            x_kind in 0u64..8,
+            acc_bits in proptest::prelude::any::<u64>(),
+            x_bits in proptest::prelude::any::<u64>(),
+            n_log in 0u32..17,
+            n_bits in proptest::prelude::any::<u64>(),
+        ) {
+            let acc = float_of(acc_kind, acc_bits);
+            let x = match x_kind {
+                // Within 2^-60 of acc, where long runs stay in a binade.
+                0 | 1 => acc * (1.0 + (x_bits >> 11) as f64 / (1u64 << 53) as f64)
+                    / (1u64 << (x_bits % 61)) as f64,
+                // A tie, (q + 1/2)·ulp(acc).
+                2 => {
+                    let ulp = f64::from_bits(acc.to_bits() + 1) - acc;
+                    ((x_bits % 64) as f64 + 0.5) * ulp
+                }
+                kind => float_of(kind, x_bits),
+            };
+            let n = (1u64 << n_log) + n_bits % (1u64 << n_log);
+            let want = (0..n).fold(acc, |a, _| a + x);
+            proptest::prop_assert_eq!(
+                add_n(acc, x, n).to_bits(),
+                want.to_bits(),
+                "acc {:e} x {:e} n {}",
+                acc,
+                x,
+                n
+            );
+        }
+    }
+
+    #[test]
+    fn add_n_edge_cases_match_sequential_additions() {
+        let top = f64::MAX / 2.0;
+        let cases = [
+            (0.0, 0.0, 5),
+            (-0.0, -0.0, 3),
+            (-0.0, 0.0, 3),
+            (1.0, -0.0, 7),
+            (1.0, 0.5f64.powi(53), 1000),               // a tie at 1.0
+            (1.0, 3.0 * 0.5f64.powi(53), 1000),         // ties, odd step
+            (3.0, 0.1, 100_000),                        // crosses binades
+            (top, top / 3.0, 10),                       // overflows to inf
+            (f64::MAX, f64::MAX, 4),                    // inf at once
+            (f64::INFINITY, 1.0, 100_000),              // stays inf
+            (1.0, f64::INFINITY, 3),                    // inf addend
+            (f64::MIN_POSITIVE / 8.0, 1e-310, 100_000), // subnormal sums
+            (1e-300, f64::from_bits(1), 100_000),       // far below an ulp
+            (-2.0, 0.25, 100),                          // negative acc
+            (1.0, -0.25, 100),                          // negative addend
+        ];
+        for (acc, x, n) in cases {
+            let want = (0..n).fold(acc, |a: f64, _| a + x);
+            assert_eq!(
+                add_n(acc, x, n).to_bits(),
+                want.to_bits(),
+                "acc {acc:e} x {x:e} n {n}"
+            );
         }
     }
 

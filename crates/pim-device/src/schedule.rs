@@ -69,6 +69,20 @@ impl Round {
     pub fn len(&self) -> usize {
         self.broadcasts.len() + self.computes.len() + self.collects.len()
     }
+
+    /// Whether [`Schedule::push`] keeps the round: it has a command and a
+    /// non-zero repeat.
+    pub(crate) fn is_kept(&self) -> bool {
+        !self.is_empty() && self.repeat > 0
+    }
+
+    /// Empties the round for reuse, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.broadcasts.clear();
+        self.computes.clear();
+        self.collects.clear();
+        self.repeat = 1;
+    }
 }
 
 /// Dot-product and element-wise operation groups of a schedule.
@@ -114,7 +128,7 @@ impl Schedule {
 
     /// Appends a round (empty or zero-repeat rounds are dropped).
     pub fn push(&mut self, round: Round) {
-        if !round.is_empty() && round.repeat > 0 {
+        if round.is_kept() {
             self.rounds.push(round);
         }
     }

@@ -24,6 +24,7 @@
 //!   only the collect.
 
 use crate::device::StreamPim;
+use crate::engine::Engine;
 use crate::error::PimError;
 use crate::matrix::Matrix;
 use crate::placement::Placement;
@@ -185,32 +186,74 @@ impl ShapeTask {
     ///
     /// Returns [`PimError::EmptyTask`] if no operations were added.
     pub fn lower(&self, device: &StreamPim) -> Result<Schedule> {
+        let layout = self.layout(device)?;
+        let mut schedule = Schedule::new();
+        for &op in &self.ops {
+            let mut round = Round::new();
+            self.lower_op(op, &layout, &mut round);
+            schedule.push(round);
+        }
+        Ok(schedule)
+    }
+
+    /// Lowers and prices the task on `device` in one streamed pass: each
+    /// operation is lowered into one reused [`Round`] and priced at once,
+    /// so no [`Schedule`] is built and the pass allocates a few times
+    /// whatever its round count. The report, every span on `sink`
+    /// and every sample on `probe` are byte-identical to
+    /// [`StreamPim::execute_instrumented`] of [`ShapeTask::lower`]'s
+    /// schedule with no table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PimError::EmptyTask`] if no operations were added.
+    pub fn price_instrumented(
+        &self,
+        device: &StreamPim,
+        sink: &dyn pim_trace::TraceSink,
+        probe: &dyn rm_core::Probe,
+    ) -> Result<ExecReport> {
+        let layout = self.layout(device)?;
+        let engine = Engine::new(device.config());
+        let mut pricer = engine.pricer(sink, probe, None);
+        let mut round = Round::new();
+        for &op in &self.ops {
+            self.lower_op(op, &layout, &mut round);
+            if round.is_kept() {
+                pricer.round(&round);
+            }
+        }
+        Ok(pricer.finish())
+    }
+
+    /// Places the task's matrices on `device`.
+    fn layout(&self, device: &StreamPim) -> Result<Layout> {
         if self.ops.is_empty() {
             return Err(PimError::EmptyTask);
         }
         let cfg = device.config();
         let mut placement = Placement::new(cfg.opt.placement(), &cfg.device);
-        let ids: Vec<usize> = self
+        let ids = self
             .shapes
             .iter()
             .map(|&(r, c)| placement.register_matrix(r as u32, c as u32))
             .collect();
-        let banks = cfg.device.pim_banks.max(1);
-        let mut schedule = Schedule::new();
-        for &op in &self.ops {
-            self.lower_op(op, &placement, &ids, banks, &mut schedule);
-        }
-        Ok(schedule)
+        Ok(Layout {
+            placement,
+            ids,
+            banks: cfg.device.pim_banks.max(1),
+        })
     }
 
-    fn lower_op(
-        &self,
-        op: MatrixOp,
-        placement: &Placement,
-        ids: &[usize],
-        banks: u32,
-        schedule: &mut Schedule,
-    ) {
+    /// Lowers one operation into `round`, replacing what it held: each
+    /// operation is one round.
+    fn lower_op(&self, op: MatrixOp, layout: &Layout, round: &mut Round) {
+        let &Layout {
+            ref placement,
+            ref ids,
+            banks,
+        } = layout;
+        round.clear();
         match op {
             MatrixOp::MatMul { a, b, dst } => {
                 let (m, k) = self.shapes[a.0];
@@ -218,7 +261,7 @@ impl ShapeTask {
                 let slices = placement.slices_for(k as u64) as u32;
                 let slice_len = (k as u32).div_ceil(slices);
                 // One prototype round (column j), repeated n times.
-                let mut round = Round::new().repeated(n as u64);
+                round.repeat = (n as u64).max(1);
                 // Broadcast B_j to every PIM bank's subarrays.
                 let src = placement.home_of_row(ids[b.0], 0);
                 for bank in 0..banks {
@@ -265,14 +308,12 @@ impl ShapeTask {
                         });
                     }
                 }
-                schedule.push(round);
             }
             MatrixOp::MatVec { a, x, dst } => {
                 let (m, k) = self.shapes[a.0];
                 let slices = placement.slices_for(k as u64) as u32;
                 let slice_len = (k as u32).div_ceil(slices);
                 let x_home = placement.home_of_row(ids[x.0], 0);
-                let mut round = Round::new();
                 for i in 0..m {
                     let home = placement.home_of_row(ids[a.0], i as u32);
                     let dst_home = placement.home_of_row(ids[dst.0], i as u32);
@@ -321,11 +362,9 @@ impl ShapeTask {
                         });
                     }
                 }
-                schedule.push(round);
             }
             MatrixOp::MatAdd { a, b, dst } => {
                 let (m, n) = self.shapes[a.0];
-                let mut round = Round::new();
                 for i in 0..m {
                     let home = placement.home_of_row(ids[a.0], i as u32);
                     let other = placement.home_of_row(ids[b.0], i as u32);
@@ -344,11 +383,9 @@ impl ShapeTask {
                         len: n as u32,
                     });
                 }
-                schedule.push(round);
             }
             MatrixOp::ScalarMul { a, dst, .. } => {
                 let (m, n) = self.shapes[a.0];
-                let mut round = Round::new();
                 for i in 0..m {
                     let home = placement.home_of_row(ids[a.0], i as u32);
                     round.computes.push(Vpc::Smul {
@@ -361,11 +398,9 @@ impl ShapeTask {
                         len: n as u32,
                     });
                 }
-                schedule.push(round);
             }
             MatrixOp::Axpby { a, b, dst, .. } => {
                 let (m, n) = self.shapes[a.0];
-                let mut round = Round::new();
                 for i in 0..m {
                     // Two SMUL passes per row; the second accumulates onto
                     // the first through the circle adder.
@@ -389,10 +424,17 @@ impl ShapeTask {
                         len: n as u32,
                     });
                 }
-                schedule.push(round);
             }
         }
     }
+}
+
+/// Where lowering places a task's matrices: the placement, each
+/// matrix's id in it, and the device's PIM bank count.
+struct Layout {
+    placement: Placement,
+    ids: Vec<usize>,
+    banks: u32,
 }
 
 fn check_op_shapes(shapes: &[(usize, usize)], op: MatrixOp) -> Result<()> {
@@ -539,14 +581,17 @@ impl PimTask {
         self.graph.lower(device)
     }
 
-    /// Lowers and prices the task on `device` *without* functional
-    /// execution.
+    /// Prices the task on `device` *without* functional execution, in the
+    /// streamed pass of [`ShapeTask::price_instrumented`]: no schedule is
+    /// built, and the report is byte-identical to pricing
+    /// [`PimTask::lower`]'s schedule.
     ///
     /// # Errors
     ///
     /// Returns [`PimError::EmptyTask`] if no operations were added.
     pub fn price(&self, device: &StreamPim) -> Result<ExecReport> {
-        Ok(device.execute(&self.lower(device)?))
+        self.graph
+            .price_instrumented(device, &pim_trace::NullSink, &rm_core::NullProbe)
     }
 
     /// Runs the task on `device` (paper's `task.run()`): lowers, prices and

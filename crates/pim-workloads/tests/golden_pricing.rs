@@ -168,6 +168,11 @@ fn instrumented_digests(device: &StreamPim, schedule: &pim_device::schedule::Sch
         device.execute(schedule),
         "instruments perturb pricing"
     );
+    digests(&sink, &probe)
+}
+
+/// The probe and span digests of an instrumented run's records.
+fn digests(sink: &Collector, probe: &BufferProbe) -> String {
     let records: String = probe
         .take()
         .iter()
@@ -218,4 +223,48 @@ fn spec_reports_match_the_frozen_pricing() {
         }
     }
     assert_eq!(actual, GOLDEN, "priced:\n{}", actual.join("\n"));
+}
+
+/// The streamed pass prices every spec bit for bit as the lowered schedule
+/// does: `ShapeTask::price_instrumented` against `execute_instrumented` of
+/// `ShapeTask::lower`'s schedule, with the probe and span digests of
+/// [`instrumented_digests`]. BERT and the 8192-row MatMul compare
+/// unprobed reports only, as the frozen lines do.
+#[test]
+fn streamed_pricing_matches_the_lowered_schedule() {
+    for base in [
+        StreamPimConfig::paper_default(),
+        StreamPimConfig::electrical_bus(),
+    ] {
+        for opt in [OptLevel::Base, OptLevel::Distribute, OptLevel::Unblock] {
+            let device = StreamPim::new(base.clone().with_opt(opt)).expect("valid config");
+            for spec in specs() {
+                let task = spec.shape_task();
+                let schedule = task.lower(&device).expect("every spec has operations");
+                let streamed = task
+                    .price_instrumented(&device, &pim_trace::NullSink, &rm_core::NullProbe)
+                    .expect("every spec has operations");
+                let what = format!("{opt:?} {}", spec.name());
+                assert_eq!(
+                    report_line(&streamed),
+                    report_line(&device.execute(&schedule)),
+                    "{what}"
+                );
+                if schedule.counts().total() > 1_000_000 {
+                    continue;
+                }
+                let sink = Collector::new();
+                let probe = BufferProbe::new();
+                let report = task
+                    .price_instrumented(&device, &sink, &probe)
+                    .expect("every spec has operations");
+                assert_eq!(report_line(&report), report_line(&streamed), "{what}");
+                assert_eq!(
+                    digests(&sink, &probe),
+                    instrumented_digests(&device, &schedule),
+                    "{what}"
+                );
+            }
+        }
+    }
 }

@@ -1,12 +1,16 @@
 //! Pricing allocates a fixed handful of times per run, however many rounds
 //! the schedule has: BERT's 360-round schedule may allocate no more than
-//! the 1-round `MatMul` 24×16×8, plus a small fixed slack.
+//! the 1-round `MatMul` 24×16×8, plus a small fixed slack. The streamed
+//! pass, which lowers each round into one reused buffer as it prices it,
+//! allocates a fixed number of times too.
 //!
 //! A per-thread counting allocator keeps the count free of other tests'
 //! threads, so this binary holds only this test's allocator.
 
 use pim_device::{PriceTable, StreamPim, StreamPimConfig};
+use pim_trace::NullSink;
 use pim_workloads::{DnnKind, WorkloadSpec};
+use rm_core::NullProbe;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -90,6 +94,33 @@ fn pricing_allocations_do_not_grow_with_rounds() {
         assert!(
             bert_warm <= small_warm + SLACK,
             "warm execute_repriced: BERT {bert_warm} allocations vs {small_warm} for 1 round"
+        );
+    }
+}
+
+/// Allocations the streamed BERT pass may make (53 when this bound was
+/// set): its placement, the round buffers, which grow by doubling to the
+/// widest round and are reused for every later one, and the pricer's fixed
+/// handful. Lowering BERT into a schedule makes 5,549.
+const STREAMED_BERT: u64 = 64;
+
+#[test]
+fn streamed_pricing_allocations_do_not_grow_with_rounds() {
+    for config in [
+        StreamPimConfig::paper_default(),
+        StreamPimConfig::electrical_bus(),
+    ] {
+        let device = StreamPim::new(config).expect("built-in configs are valid");
+        let bert = WorkloadSpec::dnn(DnnKind::Bert).shape_task();
+        let streamed = allocations(|| {
+            std::hint::black_box(
+                bert.price_instrumented(&device, &NullSink, &NullProbe)
+                    .expect("BERT has operations"),
+            );
+        });
+        assert!(
+            streamed <= STREAMED_BERT,
+            "streamed BERT: {streamed} allocations for 360 rounds"
         );
     }
 }
